@@ -4,11 +4,10 @@ Unlike the figure benchmarks (which reproduce *simulated* results), this
 one measures the *simulator itself*: end-to-end accesses/sec on a
 fig6-style trace-driven run and MAC computations/sec, for each MAC
 backend, against the throughput recorded at the growth seed. It guards
-the hot-path optimisations (table-driven QARMA, the MAC verify cache,
-the allocation-free access loop and the fused batch execution core —
-``repro.cpu.batch_core``, selected by ``REPRO_BATCH``) against
-regression, and asserts the one property that makes them safe: neither
-the cache nor batching changes *any* simulated outcome.
+the hot-path optimisations (table-driven QARMA, the allocation-free
+access loop and the fused batch execution core — ``repro.cpu.batch_core``,
+selected by ``REPRO_BATCH``) against regression, and asserts the one
+property that makes them safe: batching changes no simulated outcome.
 
 Writes machine-readable ``BENCH_hotpath.json`` at the repo root.
 """
@@ -19,8 +18,6 @@ import json
 import os
 import pathlib
 import time
-from dataclasses import replace
-
 from conftest import scale
 
 from repro.common.config import optimized_ptguard_config
@@ -51,7 +48,7 @@ PREV_RECORDED_ACC_PER_SEC = {
 
 
 def _run_workload(mac_algorithm: str, mem_ops: int, warmup_ops: int,
-                  verify_cache: bool = True, batch: int | None = None) -> dict:
+                  batch: int | None = None) -> dict:
     """One fig6-style timed window; returns host + simulated metrics.
 
     ``batch`` pins ``REPRO_BATCH`` for the run (None = ambient default):
@@ -61,14 +58,10 @@ def _run_workload(mac_algorithm: str, mem_ops: int, warmup_ops: int,
     if batch is not None:
         os.environ["REPRO_BATCH"] = str(batch)
     try:
-        # The verify cache defaults to off; size it explicitly here so the
-        # bench keeps measuring (and invariance-checking) both states.
-        config = replace(
-            optimized_ptguard_config(),
-            mac_verify_cache_entries=4096 if verify_cache else 0,
-        )
         system = build_system(
-            ptguard=config, mac_algorithm=mac_algorithm, seed=2023
+            ptguard=optimized_ptguard_config(),
+            mac_algorithm=mac_algorithm,
+            seed=2023,
         )
         profile = get_workload(WORKLOAD)
         process, trace = system.workload_process(profile, seed=11)
@@ -95,7 +88,6 @@ def _run_workload(mac_algorithm: str, mem_ops: int, warmup_ops: int,
             elapsed += chunk_sec
             best_rate = max(best_rate, chunk_ops / chunk_sec)
         computations = guard.engine.computations - computations_before
-        engine_stats = guard.engine.stats
         return {
             "mac": mac_algorithm,
             "mem_ops": chunk_ops * chunks,
@@ -103,8 +95,6 @@ def _run_workload(mac_algorithm: str, mem_ops: int, warmup_ops: int,
             "acc_per_sec": best_rate,
             "mac_computations": computations,
             "mac_computations_per_sec": computations / elapsed,
-            "verify_cache_hits": engine_stats.get("verify_cache_hits"),
-            "verify_cache_misses": engine_stats.get("verify_cache_misses"),
             # Simulated outcomes — must be invariant under host-side tweaks.
             "cycles": core.cycles - cycles_before,
             "instructions": core.instructions - instructions_before,
@@ -120,9 +110,9 @@ def _run_workload(mac_algorithm: str, mem_ops: int, warmup_ops: int,
 def _run_walk_heavy(batch: int, mem_ops: int) -> dict:
     """One timed window on the synthetic TLB-thrashing profile.
 
-    qarma backend, verify cache *off*: every PTE-line read at the DRAM
-    boundary pays a real MAC check, so the run isolates exactly what the
-    batched walk path accelerates — bulk-primed tags vs ~100 us scalar
+    qarma backend: every PTE-line read at the DRAM boundary pays a real
+    MAC check, so the run isolates exactly what the batched walk path
+    accelerates — bulk-primed tags vs ~100 us scalar
     tags. Timed as one window (not chunks) because the bulk-tag priming
     pass runs once per ``core.run``; noise is handled by best-of-N in
     the caller.
@@ -130,8 +120,9 @@ def _run_walk_heavy(batch: int, mem_ops: int) -> dict:
     previous_batch = os.environ.get("REPRO_BATCH")
     os.environ["REPRO_BATCH"] = str(batch)
     try:
-        config = replace(optimized_ptguard_config(), mac_verify_cache_entries=0)
-        system = build_system(ptguard=config, mac_algorithm="qarma", seed=2023)
+        system = build_system(
+            ptguard=optimized_ptguard_config(), mac_algorithm="qarma", seed=2023
+        )
         profile = get_workload("walkheavy")
         process, trace = system.workload_process(profile, seed=11)
         core = system.new_core(process)
@@ -216,23 +207,20 @@ def test_bench_perf_hotpath(once, emit):
             _run_workload(mac, mem_ops, warmup, batch=1)
             for mac in ("pseudo", "blake2", "qarma")
         ]
-        cache_off = _run_workload("blake2", mem_ops, warmup, verify_cache=False)
         qarma = _qarma_table_speedup(blocks=max(256, int(4096 * scale())))
         walk_ops = max(500, int(10_000 * scale()))
         walk_batched = _walk_heavy_best_of(4096, walk_ops)
         walk_scalar = _walk_heavy_best_of(1, walk_ops)
-        return rows, scalar_rows, cache_off, qarma, walk_batched, walk_scalar
+        return rows, scalar_rows, qarma, walk_batched, walk_scalar
 
-    rows, scalar_rows, cache_off, qarma, walk_batched, walk_scalar = once(
-        experiment
-    )
+    rows, scalar_rows, qarma, walk_batched, walk_scalar = once(experiment)
     walk_speedup = walk_batched["acc_per_sec"] / walk_scalar["acc_per_sec"]
     walk_outcomes_identical = (
         walk_batched["outcomes"] == walk_scalar["outcomes"]
     )
     by_mac = {row["mac"]: row for row in rows}
     scalar_by_mac = {row["mac"]: row for row in scalar_rows}
-    cache_on = by_mac["blake2"]
+    blake2 = by_mac["blake2"]
 
     speedups = {
         row["mac"]: row["acc_per_sec"] / SEED_BASELINE_ACC_PER_SEC[row["mac"]]
@@ -243,22 +231,11 @@ def test_bench_perf_hotpath(once, emit):
         for mac in by_mac
     }
     # Batched and scalar runs must agree on every simulated quantity.
-    invariant_keys = (
-        "cycles", "instructions", "mac_computations",
-        "verify_cache_hits", "verify_cache_misses",
-    )
+    invariant_keys = ("cycles", "instructions", "mac_computations")
     batch_outcomes_identical = all(
         by_mac[mac][key] == scalar_by_mac[mac][key]
         for mac in by_mac
         for key in invariant_keys
-    )
-    hits = cache_on["verify_cache_hits"]
-    misses = cache_on["verify_cache_misses"]
-    hit_rate = hits / (hits + misses) if hits + misses else 0.0
-    outcomes_identical = (
-        cache_on["cycles"] == cache_off["cycles"]
-        and cache_on["instructions"] == cache_off["instructions"]
-        and cache_on["mac_computations"] == cache_off["mac_computations"]
     )
 
     lines = [
@@ -282,17 +259,13 @@ def test_bench_perf_hotpath(once, emit):
         f"batched vs scalar outcomes bit-identical: {batch_outcomes_identical}",
         "",
         f"qarma/blake2 host-cost ratio "
-        f"{cache_on['acc_per_sec'] / by_mac['qarma']['acc_per_sec']:.2f}x "
+        f"{blake2['acc_per_sec'] / by_mac['qarma']['acc_per_sec']:.2f}x "
         f"(seed {SEED_BASELINE_ACC_PER_SEC['blake2'] / SEED_BASELINE_ACC_PER_SEC['qarma']:.1f}x)",
         f"Qarma128 table-driven vs reference: {qarma['speedup']:.1f}x "
         f"({qarma['table_blocks_per_sec']:,.0f} vs "
         f"{qarma['reference_blocks_per_sec']:,.0f} blocks/s)",
-        f"verify cache (blake2): hit rate {hit_rate:.1%}, "
-        f"on {cache_on['acc_per_sec']:,.0f} acc/s vs "
-        f"off {cache_off['acc_per_sec']:,.0f} acc/s",
-        f"simulated outcomes identical with cache on/off: {outcomes_identical}",
         "",
-        f"walk-heavy (walkheavy/qarma, no verify cache, "
+        f"walk-heavy (walkheavy/qarma, "
         f"{walk_batched['outcomes']['walker'].get('walks', 0):,} walks, "
         f"{walk_batched['outcomes']['guard'].get('pte_reads', 0):,} PTE DRAM reads): "
         f"batched {walk_batched['acc_per_sec']:,.0f} acc/s vs "
@@ -335,26 +308,19 @@ def test_bench_perf_hotpath(once, emit):
             "pte_dram_reads": walk_batched["outcomes"]["guard"].get("pte_reads"),
             "outcomes_identical": walk_outcomes_identical,
         },
-        "verify_cache": {
-            "hit_rate": hit_rate,
-            "acc_per_sec_on": cache_on["acc_per_sec"],
-            "acc_per_sec_off": cache_off["acc_per_sec"],
-            "simulated_outcomes_identical": outcomes_identical,
-        },
     }
     (REPO_ROOT / "BENCH_hotpath.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
 
     # Host-independent properties (always asserted).
-    assert outcomes_identical, "verify cache changed a simulated outcome"
     assert batch_outcomes_identical, "batching changed a simulated outcome"
     assert walk_outcomes_identical, (
         "walk-heavy batching changed a simulated outcome"
     )
     assert qarma["speedup"] >= 8.0, "table-driven QARMA lost its edge"
     # QARMA used to cost ~11x blake2 end-to-end; must stay within ~10x.
-    assert cache_on["acc_per_sec"] / by_mac["qarma"]["acc_per_sec"] <= 10.0
+    assert blake2["acc_per_sec"] / by_mac["qarma"]["acc_per_sec"] <= 10.0
     # Absolute speedup vs the recorded seed numbers is host-dependent;
     # bind it only for full-scale runs (acceptance hardware).
     if scale() >= 1.0:

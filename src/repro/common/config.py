@@ -151,24 +151,10 @@ class PTGuardConfig:
     soft_match_k: int = 4  # MAC bit-faults tolerated (Sec VI-C)
     ctb_entries: int = 4
     almost_zero_threshold: int = 4  # <=4 set bits => guess zero-PTE
-    # Host-side memo of computed tags (simulator speed only — simulated
-    # latency, counters and outcomes are identical either way; see the
-    # invariance tests in tests/test_qarma_tables.py). Off by default:
-    # on trace-driven timing runs the guard re-sees a PTE line at the
-    # DRAM boundary almost only right after a write (which invalidates
-    # the memo), so the measured hit rate is ~0.1% and the bookkeeping
-    # costs more than it saves (BENCH_hotpath.json). Enable (e.g. 4096)
-    # for runs with a real cryptographic backend (qarma especially):
-    # InOrderCore.run then pre-warms the memo from the page-table
-    # snapshot in one vectorized pass (MACEngine.warm), moving the
-    # ~100 us/tag scalar cost out of the measured window entirely.
-    mac_verify_cache_entries: int = 0
 
     def __post_init__(self) -> None:
         if not 28 <= self.max_phys_bits <= 52:
             raise ConfigurationError("max_phys_bits must lie in [28, 52]")
-        if self.mac_verify_cache_entries < 0:
-            raise ConfigurationError("mac_verify_cache_entries must be >= 0")
         if self.mac_bits != 12 * PTES_PER_LINE:
             # The design pools 12 bits from each of the 8 PTEs in a line.
             if self.mac_bits not in (64, 96):

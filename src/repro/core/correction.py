@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.common.bitops import mask, popcount
+from repro.common.config import CACHELINE_BYTES, PTES_PER_LINE
 from repro.core import pattern
 from repro.core.engine import MACEngine
 
@@ -36,6 +37,7 @@ FLAG_BITS: Tuple[int, ...] = tuple(
 )  # the 16 protected flag bits of Table IV
 
 PFN_CONTIGUITY_LOW_BITS = 8  # bottom PFN bits rebuilt by the contiguity step
+PTE_MASK = mask(64)
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,12 @@ class CorrectionResult:
 
 
 class CorrectionEngine:
-    """Implements the Section VI-D guess-and-check schedule."""
+    """Implements the Section VI-D guess-and-check schedule.
+
+    Guesses are 512-bit line values (:mod:`repro.core.pattern`), so a
+    flip-and-check guess is a single XOR; only the accepted guess is
+    turned back into bytes.
+    """
 
     def __init__(
         self,
@@ -63,14 +70,14 @@ class CorrectionEngine:
         self._metadata_mask = (
             mask(pattern.MAC_BITS_PER_PTE) << pattern.MAC_FIELD_LOW
         ) | (mask(pattern.ID_BITS_PER_PTE) << pattern.ID_FIELD_LOW)
+        self._flips = _flip_table(engine.max_phys_bits)
 
     # -- public API -----------------------------------------------------------
 
     @property
     def max_guesses(self) -> int:
         """G_max: 1 + 352 + 1 + 18 = 372 for M = 40."""
-        protected = len(pattern.protected_bit_positions(self.engine.max_phys_bits))
-        return 1 + protected * 8 + 1 + 18
+        return 1 + len(self._flips) + 1 + 18
 
     def correct(self, stored_line: bytes, address: int) -> CorrectionResult:
         """Attempt to correct a faulty PTE line read from DRAM.
@@ -79,23 +86,28 @@ class CorrectionEngine:
         with bit flips anywhere). Returns the corrected *stored-format*
         line (protected bits corrected, stored MAC refreshed) or ``None``.
         """
+        value = int.from_bytes(stored_line, "little")
         # Identifier bits have a single known value on PTE lines, so flips
         # there are corrected outright, before any guessing (Sec VI intro).
         if self.identifier is not None:
-            stored_line = pattern.embed_identifier(stored_line, self.identifier)
-        stored_mac = pattern.extract_mac(stored_line)
+            value = pattern.with_identifier(value, self.identifier)
+        stored_mac = pattern.mac_of(value)
 
+        engine = self.engine
+        compute_masked = engine.compute_masked
+        protected_mask = engine.protected_mask
+        soft_match_k = engine.soft_match_k
         guesses = 0
-        for step, candidate in self._candidates(stored_line):
+        for step, candidate in self._candidates(value):
             guesses += 1
-            result = self.engine.verify(candidate, address, stored_mac, soft=True)
-            if result.ok:
-                corrected = self._refresh_mac(candidate, address)
+            tag = compute_masked(candidate & protected_mask, address)
+            distance = (tag ^ stored_mac).bit_count()
+            if distance <= soft_match_k:  # the soft match (Sec VI-C)
                 return CorrectionResult(
-                    corrected_line=corrected,
+                    corrected_line=self._refresh_mac(candidate, address),
                     guesses_used=guesses,
                     winning_step=step,
-                    mac_distance=result.distance,
+                    mac_distance=distance,
                 )
         return CorrectionResult(
             corrected_line=None,
@@ -106,36 +118,32 @@ class CorrectionEngine:
 
     # -- guess generation -------------------------------------------------------
 
-    def _candidates(self, line: bytes) -> Iterator[Tuple[str, bytes]]:
+    def _candidates(self, value: int) -> Iterator[Tuple[str, int]]:
         max_phys_bits = self.engine.max_phys_bits
-        positions = pattern.protected_bit_positions(max_phys_bits)
 
         # Step 1: the line as-is (soft match absorbs MAC-only faults).
-        yield "soft_match", line
+        yield "soft_match", value
 
         # Step 2: flip and check every protected bit of every PTE.
-        ptes = pattern.split_ptes(line)
-        for index in range(len(ptes)):
-            for bit_position in positions:
-                flipped = list(ptes)
-                flipped[index] ^= 1 << bit_position
-                yield "flip_and_check", pattern.join_ptes(flipped)
+        for flip in self._flips:
+            yield "flip_and_check", value ^ flip
 
         # Step 3: reset almost-zero PTEs; subsequent steps inherit this base.
+        ptes = [(value >> (64 * index)) & PTE_MASK for index in range(PTES_PER_LINE)]
         base = self._reset_almost_zero(ptes)
-        yield "reset_zero_ptes", pattern.join_ptes(base)
+        yield "reset_zero_ptes", _join(base)
 
         # Step 4: bitwise majority vote for flags across non-zero PTEs.
         flagged = self._apply_flag_majority(base)
-        yield "flag_majority", pattern.join_ptes(flagged)
+        yield "flag_majority", _join(flagged)
 
         # Step 5: contiguity in PFNs on the zero-reset base.
         for candidate in self._contiguity_guesses(base, max_phys_bits):
-            yield "pfn_contiguity", pattern.join_ptes(candidate)
+            yield "pfn_contiguity", _join(candidate)
 
         # Step 6: flags majority and contiguity together.
         for candidate in self._contiguity_guesses(flagged, max_phys_bits, skip_majority=True):
-            yield "flags_plus_contiguity", pattern.join_ptes(candidate)
+            yield "flags_plus_contiguity", _join(candidate)
 
     def _data_bits(self, pte: int) -> int:
         """PTE content excluding the MAC/identifier metadata fields."""
@@ -206,9 +214,34 @@ class CorrectionEngine:
                 rebuilt[i] = pattern.with_pfn(rebuilt[i], target, max_phys_bits)
             yield rebuilt
 
-    def _refresh_mac(self, candidate: bytes, address: int) -> bytes:
+    def _refresh_mac(self, candidate: int, address: int) -> bytes:
         """Re-embed a freshly computed MAC over the corrected data."""
-        tag = self.engine.compute(candidate, address)
-        if self.engine.mac_bits < pattern.MAC_BITS_PER_LINE:
-            tag &= mask(self.engine.mac_bits)
-        return pattern.embed_mac(candidate, tag)
+        engine = self.engine
+        tag = engine.compute_masked(candidate & engine.protected_mask, address)
+        if engine.mac_bits < pattern.MAC_BITS_PER_LINE:
+            tag &= mask(engine.mac_bits)
+        return pattern.with_mac(candidate, tag).to_bytes(CACHELINE_BYTES, "little")
+
+
+_FLIP_TABLES: dict = {}
+
+
+def _flip_table(max_phys_bits: int) -> Tuple[int, ...]:
+    """Step 2's single-bit flips as line masks: PTE by PTE, ascending bit
+    position. Shared by every engine (rekeys build new ones)."""
+    if max_phys_bits not in _FLIP_TABLES:
+        positions = pattern.protected_bit_positions(max_phys_bits)
+        _FLIP_TABLES[max_phys_bits] = tuple(
+            1 << (64 * index + position)
+            for index in range(PTES_PER_LINE)
+            for position in positions
+        )
+    return _FLIP_TABLES[max_phys_bits]
+
+
+def _join(ptes: List[int]) -> int:
+    """Eight 64-bit PTEs as one 512-bit line value."""
+    value = 0
+    for index, pte in enumerate(ptes):
+        value |= (pte & PTE_MASK) << (64 * index)
+    return value

@@ -9,35 +9,31 @@ Wraps a :class:`repro.crypto.mac.LineMAC` with the PT-Guard specifics:
   bit-flips in the MAC itself (Section VI-C) at a quantified security cost
   (Section VI-E, see :mod:`repro.core.security`).
 
-A host-side **verify cache** (a bounded LRU keyed by line address,
-validated against the *masked* line content — exactly the bits the MAC
-covers) memoizes :meth:`MACEngine.compute`: the MAC is a pure function of
-``(masked line, address)``, so an entry stays usable across changes to
-unprotected bits (accessed-bit churn, MAC/identifier field rewrites) and
-is bypassed the moment any protected bit differs. The cache is a pure
-simulator-speed optimisation — ``computations`` (the simulated MAC-unit
-invocation count used for energy accounting) and every verification
-outcome are identical with the cache on or off. A Rowhammer flip in a
-protected bit changes the masked content, misses the memo, and is
-recomputed honestly; a flip confined to unprotected bits hits the memo
-and returns precisely the tag a fresh computation would — by definition
-of the masking, the same value.
+Callers work on a line as one 512-bit little-endian integer (see
+:mod:`repro.core.pattern`): the guard parses each line once and the
+correction search derives its guesses from that integer, so the single
+entry point is :meth:`MACEngine.compute_masked`, which takes the
+*already masked* value (``value & engine.protected_mask``). It is the one
+path for every tag: bulk-hint lookup, then the backend's ``compute``,
+then the differential-oracle countdown. Every call ticks
+``computations`` — the simulated MAC-unit invocation count used for
+energy accounting — whether or not a hint spared the host the work.
+:meth:`MACEngine.compute` and :meth:`MACEngine.verify` are the
+bytes-domain wrappers over it.
 
-It is **disabled by default** (``PTGuardConfig.mac_verify_cache_entries
-= 0``) because the figure-6/7 timing sweeps use the ``pseudo`` backend,
-where a tag costs less than the memo bookkeeping. For the cryptographic
-backends (``qarma`` in particular) the batched execution core enables it
-and pre-warms it from the page-table snapshot after prefault
-(:meth:`MACEngine.warm`), moving the expensive tag computations out of
-the timed window in one vectorized pass (see ``BENCH_hotpath.json``).
+Bulk hints (:meth:`MACEngine.prime_bulk_tags`) are the only host-side
+tag reuse: the batched execution core computes page-table-line tags in
+one vectorized pass, and a hint serves a scalar request only when the
+masked content still matches, so a flipped protected bit always reaches
+the honest computation.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import NamedTuple
 
 from repro.common.bitops import hamming_distance
+from repro.common.config import CACHELINE_BYTES
 from repro.common.errors import InvariantViolation
 from repro.common.stats import StatGroup
 from repro.crypto.mac import LineMAC
@@ -55,10 +51,8 @@ class VerifyResult(NamedTuple):
 class MACEngine:
     """Computes/verifies PTE-line MACs for the memory controller.
 
-    ``verify_cache_entries`` bounds the host-side memo of computed tags
-    (0 disables it — e.g. for security experiments that want every MAC
-    recomputed). Hit/miss/invalidation counts are observable through
-    :attr:`stats`.
+    Oracle and hint activity is observable through :attr:`stats` and
+    :attr:`bulk_hint_hits`.
     """
 
     def __init__(
@@ -66,17 +60,12 @@ class MACEngine:
         line_mac: LineMAC,
         max_phys_bits: int,
         soft_match_k: int = 0,
-        verify_cache_entries: int = 0,
     ):
         self.line_mac = line_mac
         self.max_phys_bits = max_phys_bits
+        self.protected_mask = pattern.protected_line_mask(max_phys_bits)
         self.soft_match_k = soft_match_k
         self.computations = 0  # MAC-unit invocations (for energy accounting)
-        self.verify_cache_entries = verify_cache_entries
-        # address -> (masked line bytes, tag); LRU in insertion order.
-        self._cache: "OrderedDict[int, tuple[bytes, int]] | None" = (
-            OrderedDict() if verify_cache_entries > 0 else None
-        )
         # Differential oracle (repro.faults.invariants): every
         # ``_oracle_period``-th fresh computation is recomputed through an
         # independent reference path and must agree bit-for-bit.
@@ -84,15 +73,14 @@ class MACEngine:
         self._oracle_period = 0
         self._oracle_countdown = 0
         # Bulk-tag hints (batched walk support): address -> (masked line
-        # bytes, tag), primed through :meth:`prime_bulk_tags` by the
-        # batched execution core. Unlike the verify cache, a hint hit
-        # still counts a ``computations`` tick and still runs the oracle
-        # countdown — the hint replaces only the *host-side* scalar tag
-        # computation, never a simulated outcome, so it is legal with the
-        # verify cache disabled. ``bulk_hint_hits`` is a plain attribute
+        # value, tag), primed through :meth:`prime_bulk_tags` by the
+        # batched execution core. A hint hit still counts a
+        # ``computations`` tick and still runs the oracle countdown — the
+        # hint replaces only the *host-side* scalar tag computation, never
+        # a simulated outcome. ``bulk_hint_hits`` is a plain attribute
         # (not a stats key) so ``stats`` stays identical batched vs
         # scalar.
-        self._bulk_tags: "dict[int, tuple[bytes, int]] | None" = None
+        self._bulk_tags: "dict[int, tuple[int, int]] | None" = None
         self.bulk_hint_hits = 0
         self.stats = StatGroup("mac_engine")
 
@@ -102,90 +90,48 @@ class MACEngine:
 
     def compute(self, line: bytes, address: int) -> int:
         """MAC over the protected bits of ``line``, bound to ``address``."""
+        return self.compute_masked(
+            int.from_bytes(line, "little") & self.protected_mask, address
+        )
+
+    def compute_masked(self, masked: int, address: int) -> int:
+        """MAC of a line value whose unprotected bits are already zero."""
         self.computations += 1
-        masked = pattern.mask_unprotected(line, self.max_phys_bits)
-        cache = self._cache
-        if cache is not None:
-            entry = cache.get(address)
-            if entry is not None and entry[0] == masked:
-                self.stats.increment("verify_cache_hits")
-                cache.move_to_end(address)
-                return entry[1]
-            self.stats.increment("verify_cache_misses")
         tag = None
         bulk = self._bulk_tags
         if bulk is not None:
             hint = bulk.get(address)
             if hint is not None and hint[0] == masked:
                 # Hint tags were produced by compute_batch over the same
-                # masked bytes, so this IS the scalar tag — a changed
+                # masked content, so this IS the scalar tag — a changed
                 # protected bit (fault, tamper) misses the content check
                 # and falls through to the reference scalar path below.
                 tag = hint[1]
                 self.bulk_hint_hits += 1
         if tag is None:
-            tag = self.line_mac.compute(masked, address)
+            tag = self.line_mac.compute(
+                masked.to_bytes(CACHELINE_BYTES, "little"), address
+            )
         if self._oracle is not None:
             self._oracle_countdown -= 1
             if self._oracle_countdown <= 0:
                 self._oracle_countdown = self._oracle_period
                 self._check_oracle(masked, address, tag)
-        if cache is not None:
-            cache[address] = (masked, tag)
-            if len(cache) > self.verify_cache_entries:
-                cache.popitem(last=False)
         return tag
-
-    def warm(self, lines, addresses) -> int:
-        """Pre-seed the verify cache from a (lines, addresses) snapshot.
-
-        Host-side only: tags are computed through the batched MAC path
-        (when available) *without* touching ``computations`` or the
-        oracle countdown, so every simulated outcome — including the
-        energy-accounting counter — is exactly as if warming never
-        happened. The first in-window verification of a warmed line then
-        memo-hits instead of paying the (for qarma, ~100 us) scalar tag.
-        Returns the number of entries seeded; a no-op when the cache is
-        disabled.
-        """
-        cache = self._cache
-        if cache is None:
-            return 0
-        count = min(len(lines), self.verify_cache_entries)
-        lines = lines[:count]
-        addresses = addresses[:count]
-        if not count:
-            return 0
-        masked = [
-            pattern.mask_unprotected(line, self.max_phys_bits) for line in lines
-        ]
-        compute_batch = getattr(self.line_mac, "compute_batch", None)
-        if compute_batch is not None:
-            tags = compute_batch(masked, addresses)
-        else:
-            tags = [
-                self.line_mac.compute(m, a) for m, a in zip(masked, addresses)
-            ]
-        for m, a, t in zip(masked, addresses, tags):
-            cache[a] = (m, t)
-        while len(cache) > self.verify_cache_entries:
-            cache.popitem(last=False)
-        self.stats.increment("verify_cache_warmed", count)
-        return count
 
     def prime_bulk_tags(self, lines, addresses) -> int:
         """Pre-compute tag hints for ``addresses`` in one vectorized pass.
 
         Used by the batched execution core before a walk-heavy batch:
         page-table lines are gathered and their tags computed through
-        ``compute_batch`` so that mid-batch :meth:`compute` calls — which
-        are what the inline page walk's PTE-line fills land on — resolve
-        from the hint dict instead of paying the scalar tag (for qarma,
-        ~100 us each). Refresh-aware: addresses whose existing hint still
-        matches the current masked bytes are skipped. Requires a batched
-        backend; returns 0 (and primes nothing) when ``line_mac`` has no
-        ``compute_batch``, since scalar priming would merely move the
-        same host cost earlier.
+        ``compute_batch`` so that mid-batch :meth:`compute_masked` calls —
+        which are what the inline page walk's PTE-line fills land on —
+        resolve from the hint dict instead of paying the scalar tag (for
+        qarma, ~100 us each). Refresh-aware: addresses whose existing
+        hint still matches the current masked content are skipped.
+        Requires a batched backend; returns 0 (and primes nothing) when
+        ``line_mac`` has no ``compute_batch``, since scalar priming would
+        merely move the same host cost earlier.
         """
         compute_batch = getattr(self.line_mac, "compute_batch", None)
         if compute_batch is None:
@@ -193,10 +139,11 @@ class MACEngine:
         bulk = self._bulk_tags
         if bulk is None:
             bulk = self._bulk_tags = {}
+        protected_mask = self.protected_mask
         fresh_masked = []
         fresh_addresses = []
         for line, address in zip(lines, addresses):
-            masked = pattern.mask_unprotected(line, self.max_phys_bits)
+            masked = int.from_bytes(line, "little") & protected_mask
             hint = bulk.get(address)
             if hint is not None and hint[0] == masked:
                 continue
@@ -204,7 +151,10 @@ class MACEngine:
             fresh_addresses.append(address)
         if not fresh_masked:
             return 0
-        tags = compute_batch(fresh_masked, fresh_addresses)
+        tags = compute_batch(
+            [m.to_bytes(CACHELINE_BYTES, "little") for m in fresh_masked],
+            fresh_addresses,
+        )
         for masked, address, tag in zip(fresh_masked, fresh_addresses, tags):
             bulk[address] = (masked, int(tag))
         return len(fresh_masked)
@@ -230,8 +180,8 @@ class MACEngine:
         self._oracle_period = 0
         self._oracle_countdown = 0
 
-    def _check_oracle(self, masked: bytes, address: int, tag: int) -> None:
-        expected = self._oracle(masked, address)
+    def _check_oracle(self, masked: int, address: int, tag: int) -> None:
+        expected = self._oracle(masked.to_bytes(CACHELINE_BYTES, "little"), address)
         self.stats.increment("oracle_checks")
         if expected != tag:
             self.stats.increment("oracle_divergences")
@@ -240,21 +190,11 @@ class MACEngine:
                 f"fast path {tag:#x} != reference {expected:#x}"
             )
 
-    def invalidate_cached(self, address: int) -> None:
-        """Drop the memoized tag for ``address`` (stored contents changed)."""
-        cache = self._cache
-        if cache is not None and cache.pop(address, None) is not None:
-            self.stats.increment("verify_cache_invalidations")
+    def drop_hint(self, address: int) -> None:
+        """Drop the bulk-tag hint for ``address`` (stored contents changed)."""
         bulk = self._bulk_tags
         if bulk is not None:
             bulk.pop(address, None)
-
-    def clear_cache(self) -> None:
-        """Drop every memoized tag (key rotation, experiment boundaries)."""
-        if self._cache is not None:
-            self._cache.clear()
-        if self._bulk_tags is not None:
-            self._bulk_tags.clear()
 
     def compute_zero_mac(self) -> int:
         """The pre-computed MAC of an all-zero line *without* address binding.
@@ -270,8 +210,7 @@ class MACEngine:
         With ``soft=True`` the check passes when the Hamming distance is at
         most ``soft_match_k`` (fault-tolerant MAC, Sec VI-C).
         """
-        computed = self.compute(line, address)
-        distance = hamming_distance(computed, stored_mac)
+        distance = hamming_distance(self.compute(line, address), stored_mac)
         if distance == 0:
             return VerifyResult(ok=True, distance=0, soft=False)
         if soft and distance <= self.soft_match_k:

@@ -27,7 +27,7 @@ import random
 from collections import deque
 from typing import Deque, NamedTuple, Optional
 
-from repro.common.config import PTGuardConfig
+from repro.common.config import CACHELINE_BYTES, PTGuardConfig
 from repro.common.errors import CollisionBufferOverflow
 from repro.common.stats import StatGroup
 from repro.core import pattern
@@ -83,7 +83,6 @@ class PTGuard:
             make_line_mac(mac_algorithm, self._secret, config.mac_bits, epoch=0),
             max_phys_bits=config.max_phys_bits,
             soft_match_k=config.soft_match_k,
-            verify_cache_entries=config.mac_verify_cache_entries,
         )
         self.ctb = CollisionTrackingBuffer(config.ctb_entries)
         # The 56-bit identifier is a random value fixed at boot (Sec V-A).
@@ -115,12 +114,14 @@ class PTGuard:
         """Transform a line leaving the memory controller for DRAM."""
         self.stats.increment("writes")
         # The stored contents of this address are about to change: drop any
-        # memoized tag so later reads re-validate against the new bytes.
-        self.engine.invalidate_cached(address)
-        extended = self.config.identifier_enabled
-
-        if pattern.matches_pattern(line, extended=extended):
-            stored, zero_line = self._embed(address, line)
+        # bulk-tag hint so later reads re-validate against the new bytes.
+        self.engine.drop_hint(address)
+        value = int.from_bytes(line, "little")
+        fields = pattern.MAC_FIELDS_LINE_MASK
+        if self.config.identifier_enabled:
+            fields = pattern.METADATA_LINE_MASK
+        if not value & fields:  # the bit-pattern match
+            stored, zero_line = self._embed(address, value)
             self.stats.increment("embedded_writes")
             if zero_line:
                 self.stats.increment("zero_line_writes")
@@ -130,7 +131,7 @@ class PTGuard:
                 stored_line=stored, embedded=True, collision=False, zero_line=zero_line
             )
 
-        collision = self._is_colliding(address, line)
+        collision = self._is_colliding(address, value)
         if collision:
             self.stats.increment("collisions")
             self.ctb.insert(address)  # may raise CollisionBufferOverflow
@@ -140,23 +141,19 @@ class PTGuard:
             stored_line=line, embedded=False, collision=collision, zero_line=False
         )
 
-    def _embed(self, address: int, line: bytes) -> tuple[bytes, bool]:
-        """Embed MAC (+identifier) into a pattern-matching line."""
+    def _embed(self, address: int, value: int) -> tuple[bytes, bool]:
+        """Embed MAC (+identifier) into a pattern-matching line value."""
         zero_line = False
-        if (
-            self.config.mac_zero_enabled
-            and self._mac_zero is not None
-            and line == bytes(64)
-        ):
+        if self.config.mac_zero_enabled and self._mac_zero is not None and not value:
             tag = self._mac_zero
             zero_line = True
         else:
-            tag = self.engine.compute(line, address)
+            tag = self.engine.compute_masked(value & self.engine.protected_mask, address)
             self.stats.increment("mac_computations_write")
-        stored = pattern.embed_mac(line, self._fit_tag(tag))
+        stored = pattern.with_mac(value, self._fit_tag(tag))
         if self.config.identifier_enabled:
-            stored = pattern.embed_identifier(stored, self.identifier)
-        return stored, zero_line
+            stored = pattern.with_identifier(stored, self.identifier)
+        return stored.to_bytes(CACHELINE_BYTES, "little"), zero_line
 
     def _fit_tag(self, tag: int) -> int:
         """Left-pad a narrower-than-96-bit MAC into the 96-bit field."""
@@ -164,42 +161,47 @@ class PTGuard:
             return tag & ((1 << self.engine.mac_bits) - 1)
         return tag
 
-    def _is_colliding(self, address: int, line: bytes) -> bool:
+    def _is_colliding(self, address: int, value: int) -> bool:
         """Would this non-pattern line be misread as MAC-embedded?"""
         if self.config.identifier_enabled:
             # With the identifier, a read only strips when the identifier
             # matches too; lines without it are never misinterpreted.
-            if pattern.extract_identifier(line) != self.identifier:
+            if pattern.identifier_of(value) != self.identifier:
                 return False
-        stored_mac = pattern.extract_mac(line)
-        computed = self._fit_tag(self.engine.compute(line, address))
+        engine = self.engine
+        computed = engine.compute_masked(value & engine.protected_mask, address)
         self.stats.increment("mac_computations_write")
-        return stored_mac == computed
+        return pattern.mac_of(value) == self._fit_tag(computed)
 
     # -- read path -------------------------------------------------------------
 
     def process_read(self, address: int, stored_line: bytes, is_pte: bool) -> ReadOutcome:
         """Transform a line arriving from DRAM before it reaches the caches."""
         self.stats.increment("reads")
+        value = int.from_bytes(stored_line, "little")
         if is_pte:
             self.stats.increment("pte_reads")
-            return self._read_pte(address, stored_line)
-        return self._read_data(address, stored_line)
+            return self._read_pte(address, stored_line, value)
+        return self._read_data(address, stored_line, value)
 
-    def _read_pte(self, address: int, stored_line: bytes) -> ReadOutcome:
+    def _mac_matches(self, address: int, value: int) -> bool:
+        """Exact check of the embedded MAC against one over ``value``."""
+        engine = self.engine
+        computed = engine.compute_masked(value & engine.protected_mask, address)
+        self.stats.increment("mac_computations_read")
+        return computed == self._fit_tag_stored(pattern.mac_of(value))
+
+    def _read_pte(self, address: int, stored_line: bytes, value: int) -> ReadOutcome:
         """Page-table-walk read: the MAC check is mandatory (Sec IV-C)."""
         # Zero-line fast path: a never-written (all-zero) or MAC-zero line.
-        fast = self._zero_fast_path(stored_line)
+        fast = self._zero_fast_path(stored_line, value)
         if fast is not None:
             return fast
 
-        stored_mac = pattern.extract_mac(stored_line)
-        result = self.engine.verify(stored_line, address, self._fit_tag_stored(stored_mac))
-        self.stats.increment("mac_computations_read")
         latency = self.config.mac_latency_cycles
-        if result.ok:
+        if self._mac_matches(address, value):
             return ReadOutcome(
-                line=self._strip(stored_line),
+                line=self._strip(value),
                 latency_cycles=latency,
                 mac_checked=True,
                 mac_matched=True,
@@ -211,10 +213,11 @@ class PTGuard:
         self.stats.increment("pte_integrity_failures")
         if self.correction is not None:
             correction = self.correction.correct(stored_line, address)
-            if correction.corrected_line is not None:
+            corrected = correction.corrected_line
+            if corrected is not None:
                 self.stats.increment("pte_corrections")
                 return ReadOutcome(
-                    line=self._strip(correction.corrected_line),
+                    line=self._strip(int.from_bytes(corrected, "little")),
                     latency_cycles=latency,
                     mac_checked=True,
                     mac_matched=False,
@@ -223,7 +226,7 @@ class PTGuard:
                     pte_check_failed=False,
                     corrected=True,
                     correction=correction,
-                    corrected_stored_line=correction.corrected_line,
+                    corrected_stored_line=corrected,
                 )
             self.stats.increment("pte_uncorrectable")
             return ReadOutcome(
@@ -247,7 +250,7 @@ class PTGuard:
             pte_check_failed=True,
         )
 
-    def _read_data(self, address: int, stored_line: bytes) -> ReadOutcome:
+    def _read_data(self, address: int, stored_line: bytes, value: int) -> ReadOutcome:
         """Regular data read: strip opportunistically, never fault."""
         if self.ctb.contains(address):
             self.stats.increment("ctb_forwards")
@@ -262,7 +265,7 @@ class PTGuard:
             )
 
         if self.config.identifier_enabled:
-            if pattern.extract_identifier(stored_line) != self.identifier:
+            if pattern.identifier_of(value) != self.identifier:
                 # Identifier absent: no MAC was embedded; skip the MAC unit.
                 self.stats.increment("identifier_filtered")
                 return ReadOutcome(
@@ -274,17 +277,14 @@ class PTGuard:
                     ctb_hit=False,
                     pte_check_failed=False,
                 )
-            fast = self._zero_fast_path(stored_line)
+            fast = self._zero_fast_path(stored_line, value)
             if fast is not None:
                 return fast
 
-        stored_mac = pattern.extract_mac(stored_line)
-        result = self.engine.verify(stored_line, address, self._fit_tag_stored(stored_mac))
-        self.stats.increment("mac_computations_read")
         latency = self.config.mac_latency_cycles
-        if result.ok:
+        if self._mac_matches(address, value):
             return ReadOutcome(
-                line=self._strip(stored_line),
+                line=self._strip(value),
                 latency_cycles=latency,
                 mac_checked=True,
                 mac_matched=True,
@@ -304,11 +304,11 @@ class PTGuard:
             pte_check_failed=False,
         )
 
-    def _zero_fast_path(self, stored_line: bytes) -> Optional[ReadOutcome]:
+    def _zero_fast_path(self, stored_line: bytes, value: int) -> Optional[ReadOutcome]:
         """MAC-zero optimisation (Sec V-B): serve zero lines without the MAC unit."""
         if not self.config.mac_zero_enabled or self._mac_zero is None:
             return None
-        if stored_line == bytes(64):
+        if not value:
             # Never written through the guard; nothing to strip.
             self.stats.increment("zero_line_fastpath")
             return ReadOutcome(
@@ -321,16 +321,16 @@ class PTGuard:
                 pte_check_failed=False,
             )
         if (
-            pattern.is_zero_data(stored_line)
-            and pattern.extract_mac(stored_line) == self._fit_tag(self._mac_zero)
+            not value & ~pattern.METADATA_LINE_MASK
+            and pattern.mac_of(value) == self._fit_tag(self._mac_zero)
             and (
                 not self.config.identifier_enabled
-                or pattern.extract_identifier(stored_line) == self.identifier
+                or pattern.identifier_of(value) == self.identifier
             )
         ):
             self.stats.increment("zero_line_fastpath")
             return ReadOutcome(
-                line=self._strip(stored_line),
+                line=self._strip(value),
                 latency_cycles=0,
                 mac_checked=False,
                 mac_matched=True,
@@ -345,20 +345,11 @@ class PTGuard:
             return stored_mac & ((1 << self.engine.mac_bits) - 1)
         return stored_mac
 
-    def _strip(self, stored_line: bytes) -> bytes:
+    def _strip(self, value: int) -> bytes:
+        fields = pattern.MAC_FIELDS_LINE_MASK
         if self.config.identifier_enabled:
-            return pattern.strip_metadata(stored_line)
-        return pattern.strip_mac(stored_line)
-
-    def warm_verify_cache(self, lines, addresses) -> int:
-        """Pre-seed the engine's verify cache from a memory snapshot.
-
-        Host-side only (see :meth:`MACEngine.warm`): no simulated counter
-        moves. Callers pass the current stored bytes of PTE lines (e.g.
-        the page-table pages right after prefault) with their physical
-        line addresses. Returns the number of entries seeded.
-        """
-        return self.engine.warm(lines, addresses)
+            fields = pattern.METADATA_LINE_MASK
+        return (value & ~fields).to_bytes(CACHELINE_BYTES, "little")
 
     # -- re-keying (Sec VII-B) -------------------------------------------------
 
@@ -371,15 +362,14 @@ class PTGuard:
         """
         self._epoch += 1
         self.stats.increment("rekeys")
-        # A fresh engine also starts a fresh (empty) verify cache: tags
-        # memoized under the previous key epoch can never be served again.
+        # A fresh engine also starts with no bulk-tag hints: tags computed
+        # under the previous key epoch can never be served again.
         self.engine = MACEngine(
             make_line_mac(
                 self.mac_algorithm, self._secret, self.config.mac_bits, epoch=self._epoch
             ),
             max_phys_bits=self.config.max_phys_bits,
             soft_match_k=self.config.soft_match_k,
-            verify_cache_entries=self.config.mac_verify_cache_entries,
         )
         self._mac_zero = (
             self.engine.compute_zero_mac() if self.config.mac_zero_enabled else None

@@ -22,8 +22,13 @@ bits, 152 total). Matching lines are *protected*: the 96-bit MAC is pooled
 into bits 51:40 (12 bits per PTE) and, in Optimized PT-Guard, the 56-bit
 identifier into bits 58:52 (7 bits per PTE).
 
-All functions operate on immutable 64-byte ``bytes`` lines and are pure,
-which makes round-trip properties easy to test.
+All functions are pure, which makes round-trip properties easy to test.
+They come in two domains: the ``bytes`` functions take a 64-byte line,
+and the hot paths (guard, correction) take the line as one 512-bit
+little-endian integer — parsed once per line — and use the integer
+forms (:func:`mac_of`, :func:`with_mac`, :func:`identifier_of`,
+:func:`with_identifier`, :func:`protected_line_mask`). The bytes
+functions wrap those.
 """
 
 from __future__ import annotations
@@ -44,11 +49,11 @@ ID_BITS_PER_LINE = ID_BITS_PER_PTE * PTES_PER_LINE  # 56
 ACCESSED_BIT = 5  # excluded from the MAC: hardware sets it asynchronously
 
 
-def _spread(field_mask: int) -> int:
-    """Replicate a per-PTE 64-bit mask across the eight PTEs of a line."""
+def _spread(field_mask: int, stride: int = 64) -> int:
+    """Replicate a ``stride``-bit-group mask across a 512-bit line."""
     value = 0
-    for index in range(PTES_PER_LINE):
-        value |= field_mask << (64 * index)
+    for index in range(CACHELINE_BYTES * 8 // stride):
+        value |= field_mask << (stride * index)
     return value
 
 
@@ -58,9 +63,38 @@ _MAC_FIELD_PTE_MASK = mask(MAC_BITS_PER_PTE) << MAC_FIELD_LOW
 _ID_FIELD_PTE_MASK = mask(ID_BITS_PER_PTE) << ID_FIELD_LOW
 MAC_FIELDS_LINE_MASK = _spread(_MAC_FIELD_PTE_MASK)
 ID_FIELDS_LINE_MASK = _spread(_ID_FIELD_PTE_MASK)
-_METADATA_LINE_MASK = MAC_FIELDS_LINE_MASK | ID_FIELDS_LINE_MASK
+METADATA_LINE_MASK = MAC_FIELDS_LINE_MASK | ID_FIELDS_LINE_MASK
 
 _PROTECTED_LINE_MASKS: dict = {}
+
+
+def _log_step_rounds(width: int) -> Tuple[Tuple[int, int, int], ...]:
+    """Shift-and-mask rounds that pool one ``width``-bit field per PTE.
+
+    Round ``k`` merges neighbouring groups of ``width << k`` bits sitting
+    ``64 << k`` bits apart; it maps mask ``narrow`` (one group per
+    ``64 << k`` bits) onto mask ``wide`` (one per ``128 << k``). Three
+    rounds pool eight fields; running them backwards scatters.
+    """
+    masks = [_spread(mask(width << k), 64 << k) for k in range(4)]
+    return tuple(((64 - width) << k, masks[k], masks[k + 1]) for k in range(3))
+
+
+_MAC_ROUNDS = _log_step_rounds(MAC_BITS_PER_PTE)
+_ID_ROUNDS = _log_step_rounds(ID_BITS_PER_PTE)
+
+
+def _gather(lanes: int, rounds) -> int:
+    lanes &= rounds[0][1]
+    for shift, _narrow, wide in rounds:
+        lanes = (lanes | lanes >> shift) & wide
+    return lanes
+
+
+def _scatter(packed: int, rounds) -> int:
+    for shift, narrow, _wide in reversed(rounds):
+        packed = (packed | packed << shift) & narrow
+    return packed
 
 
 def split_ptes(line: bytes) -> List[int]:
@@ -97,7 +131,8 @@ def protected_bit_positions(max_phys_bits: int) -> List[int]:
     return [i for i in range(64) if (pmask >> i) & 1]
 
 
-def _protected_line_mask(max_phys_bits: int) -> int:
+def protected_line_mask(max_phys_bits: int) -> int:
+    """:func:`protected_bits_mask` for all eight PTEs of a 512-bit line value."""
     if max_phys_bits not in _PROTECTED_LINE_MASKS:
         _PROTECTED_LINE_MASKS[max_phys_bits] = _spread(
             protected_bits_mask(max_phys_bits)
@@ -107,7 +142,7 @@ def _protected_line_mask(max_phys_bits: int) -> int:
 
 def mask_unprotected(line: bytes, max_phys_bits: int) -> bytes:
     """Zero every bit the MAC does not cover — the MAC input (Sec IV-F)."""
-    value = int.from_bytes(line, "little") & _protected_line_mask(max_phys_bits)
+    value = int.from_bytes(line, "little") & protected_line_mask(max_phys_bits)
     return value.to_bytes(CACHELINE_BYTES, "little")
 
 
@@ -123,24 +158,38 @@ def matches_pattern(line: bytes, extended: bool = False) -> bool:
     return value & fields == 0
 
 
+def mac_of(value: int) -> int:
+    """Pool bits 51:40 of the eight PTEs of a line value into the 96-bit MAC."""
+    return _gather(value >> MAC_FIELD_LOW, _MAC_ROUNDS)
+
+
+def with_mac(value: int, tag: int) -> int:
+    """Scatter a 96-bit MAC into bits 51:40 of the eight PTEs of a line value."""
+    if tag >> MAC_BITS_PER_LINE:
+        raise ValueError(f"MAC does not fit in {MAC_BITS_PER_LINE} bits")
+    return value & ~MAC_FIELDS_LINE_MASK | _scatter(tag, _MAC_ROUNDS) << MAC_FIELD_LOW
+
+
+def identifier_of(value: int) -> int:
+    """Pool bits 58:52 of the eight PTEs of a line value into the identifier."""
+    return _gather(value >> ID_FIELD_LOW, _ID_ROUNDS)
+
+
+def with_identifier(value: int, identifier: int) -> int:
+    """Scatter the 56-bit identifier into bits 58:52 of a line value."""
+    if identifier >> ID_BITS_PER_LINE:
+        raise ValueError(f"identifier does not fit in {ID_BITS_PER_LINE} bits")
+    return value & ~ID_FIELDS_LINE_MASK | _scatter(identifier, _ID_ROUNDS) << ID_FIELD_LOW
+
+
 def extract_mac(line: bytes) -> int:
     """Pool bits 51:40 of the eight PTEs into the 96-bit stored MAC."""
-    value = int.from_bytes(line, "little")
-    tag = 0
-    for index in range(PTES_PER_LINE):
-        chunk = (value >> (64 * index + MAC_FIELD_LOW)) & 0xFFF
-        tag |= chunk << (MAC_BITS_PER_PTE * index)
-    return tag
+    return mac_of(int.from_bytes(line, "little"))
 
 
 def embed_mac(line: bytes, tag: int) -> bytes:
     """Scatter a 96-bit MAC into bits 51:40 of the eight PTEs."""
-    if tag >> MAC_BITS_PER_LINE:
-        raise ValueError(f"MAC does not fit in {MAC_BITS_PER_LINE} bits")
-    value = int.from_bytes(line, "little") & ~MAC_FIELDS_LINE_MASK
-    for index in range(PTES_PER_LINE):
-        chunk = (tag >> (MAC_BITS_PER_PTE * index)) & 0xFFF
-        value |= chunk << (64 * index + MAC_FIELD_LOW)
+    value = with_mac(int.from_bytes(line, "little"), tag)
     return value.to_bytes(CACHELINE_BYTES, "little")
 
 
@@ -152,22 +201,12 @@ def strip_mac(line: bytes) -> bytes:
 
 def extract_identifier(line: bytes) -> int:
     """Pool bits 58:52 of the eight PTEs into the 56-bit identifier."""
-    value = int.from_bytes(line, "little")
-    identifier = 0
-    for index in range(PTES_PER_LINE):
-        chunk = (value >> (64 * index + ID_FIELD_LOW)) & 0x7F
-        identifier |= chunk << (ID_BITS_PER_PTE * index)
-    return identifier
+    return identifier_of(int.from_bytes(line, "little"))
 
 
 def embed_identifier(line: bytes, identifier: int) -> bytes:
     """Scatter the 56-bit identifier into bits 58:52 of the eight PTEs."""
-    if identifier >> ID_BITS_PER_LINE:
-        raise ValueError(f"identifier does not fit in {ID_BITS_PER_LINE} bits")
-    value = int.from_bytes(line, "little") & ~ID_FIELDS_LINE_MASK
-    for index in range(PTES_PER_LINE):
-        chunk = (identifier >> (ID_BITS_PER_PTE * index)) & 0x7F
-        value |= chunk << (64 * index + ID_FIELD_LOW)
+    value = with_identifier(int.from_bytes(line, "little"), identifier)
     return value.to_bytes(CACHELINE_BYTES, "little")
 
 
@@ -179,7 +218,7 @@ def strip_identifier(line: bytes) -> bytes:
 
 def strip_metadata(line: bytes) -> bytes:
     """Zero both MAC and identifier fields (full metadata removal)."""
-    value = int.from_bytes(line, "little") & ~_METADATA_LINE_MASK
+    value = int.from_bytes(line, "little") & ~METADATA_LINE_MASK
     return value.to_bytes(CACHELINE_BYTES, "little")
 
 
@@ -190,7 +229,7 @@ def is_zero_data(line: bytes) -> bool:
     that had metadata embedded still reads back as zero once the MAC and
     identifier fields are masked out.
     """
-    return int.from_bytes(line, "little") & ~_METADATA_LINE_MASK == 0
+    return int.from_bytes(line, "little") & ~METADATA_LINE_MASK == 0
 
 
 def pfn_of(pte: int, max_phys_bits: int) -> int:
@@ -201,13 +240,6 @@ def pfn_of(pte: int, max_phys_bits: int) -> int:
 def with_pfn(pte: int, pfn: int, max_phys_bits: int) -> int:
     """Return ``pte`` with its PFN field replaced."""
     return insert_bits(pte, max_phys_bits - 1, 12, pfn & mask(max_phys_bits - 12))
-
-
-def flags_of(pte: int) -> Tuple[int, int]:
-    """Extract the two protected flag groups: (bits 11:0 sans accessed, bits 63:59)."""
-    low = pte & (mask(12) & ~(1 << ACCESSED_BIT))
-    high = bits(pte, 63, 59)
-    return low, high
 
 
 def pfn_exceeds_bound(pte: int, max_phys_bits: int) -> bool:

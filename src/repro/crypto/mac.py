@@ -184,21 +184,32 @@ class Blake2LineMAC:
         self._key = key
         self._digest_bytes = (mac_bits + 7) // 8
         self._mask = (1 << mac_bits) - 1
+        self._keyed = None  # lazily built keyed blake2b, copied per tag
 
     def __deepcopy__(self, memo):
-        # Keyed but stateless after construction: share across
-        # boot-snapshot restores instead of cloning.
+        # Keyed but stateless after construction (compute() only copies
+        # _keyed), so boot-snapshot restores share the instance.
         return self
+
+    def __getstate__(self):
+        # hashlib objects do not pickle; _keyed rebuilds on first compute.
+        state = self.__dict__.copy()
+        state["_keyed"] = None
+        return state
 
     def compute(self, line: bytes, address: int) -> int:
         if len(line) != CACHELINE_BYTES:
             raise ValueError(f"line must be {CACHELINE_BYTES} bytes")
-        digest = hashlib.blake2b(
-            address.to_bytes(8, "little") + line,
-            key=self._key,
-            digest_size=self._digest_bytes,
-        ).digest()
-        return int.from_bytes(digest, "little") & self._mask
+        keyed = self._keyed
+        if keyed is None:
+            # Copying a keyed state skips the per-tag key block, which is
+            # most of a fresh keyed blake2b's cost on a 72-byte message.
+            keyed = self._keyed = hashlib.blake2b(
+                key=self._key, digest_size=self._digest_bytes
+            )
+        state = keyed.copy()
+        state.update(address.to_bytes(8, "little") + line)
+        return int.from_bytes(state.digest(), "little") & self._mask
 
 
 class PseudoLineMAC:

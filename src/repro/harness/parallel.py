@@ -198,10 +198,19 @@ def decode_result(job: SimJob, payload: Any) -> Any:
 # analysis/cpu modules that emit jobs, so the back-edges must be lazy.
 
 
+#: PTGuardConfig fields that no longer exist. Job params recorded before
+#: their removal (sweep journals, service WAL records) still carry them.
+_RETIRED_GUARD_CONFIG_KEYS = frozenset({"mac_verify_cache_entries"})
+
+
 def _guard_config_from(params: Optional[Mapping[str, Any]]):
     from repro.common.config import PTGuardConfig
 
-    return None if params is None else PTGuardConfig(**params)
+    if params is None:
+        return None
+    return PTGuardConfig(
+        **{k: v for k, v in params.items() if k not in _RETIRED_GUARD_CONFIG_KEYS}
+    )
 
 
 def guard_config_params(config) -> Optional[Dict[str, Any]]:

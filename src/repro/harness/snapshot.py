@@ -11,13 +11,16 @@ straight to its own (seeded, per-cell) work.
 
 Correctness model
 -----------------
-A snapshot is keyed by the sha256 of ``{schema, kind, params}`` where
-``params`` is the canonical JSON of every input that can influence boot
-state: workload identity/geometry, MAC backend, guard configuration and
-the build seed. Inputs that *cannot* influence boot state are excluded
-so more cells share a snapshot — notably ``mac_latency_cycles``, which
-the guard reads per access (``guard.config`` is patched to the caller's
-real config after restore; see :func:`repro.analysis.perf_eval.run_workload`).
+A snapshot is keyed by the sha256 of ``{schema, kind, params, code}``
+where ``params`` is the canonical JSON of every input that can influence
+boot state: workload identity/geometry, MAC backend, guard configuration
+and the build seed, and ``code`` is a sha256 over the ``repro`` package
+sources (:func:`source_fingerprint`), so a snapshot is only ever restored
+into the code that pickled it. Inputs that *cannot* influence boot state
+are excluded so more cells share a snapshot — notably
+``mac_latency_cycles``, which the guard reads per access
+(``guard.config`` is patched to the caller's real config after restore;
+see :func:`repro.analysis.perf_eval.run_workload`).
 The build ``seed`` is **included**: the DRAM device RNG, the guard's
 MAC secret and the identifier sequence are all derived from it at boot.
 
@@ -40,11 +43,13 @@ Two tiers, both per config digest:
   process/cross-run path.
 
 Disk entries are invalidated by construction: any change to the schema
-version, a boot input, or the payload's pickled shape changes the digest
-or fails the content check; a corrupt entry is discarded (unlinked) and
-the cell boots fresh. Any I/O or pickling failure degrades to memo-only
-operation with a one-time warning — snapshots are an optimisation, never
-a correctness dependency.
+version, a boot input or a source file of the package changes the
+digest, so an entry pickled by other code (another checkout sharing the
+cache directory, an older revision) is never found. The sha256 header
+checks integrity only: a torn or corrupt entry, or one that fails to
+unpickle, is discarded (unlinked) and the cell boots fresh. Any I/O or
+pickling failure degrades to memo-only operation with a one-time warning
+— snapshots are an optimisation, never a correctness dependency.
 
 ``REPRO_BOOT_SNAPSHOT=0`` (:func:`repro.common.config.boot_snapshot_enabled`)
 disables the layer entirely; runs under ``--validate`` bypass it too, so
@@ -74,12 +79,34 @@ _MEMO_ENTRIES = 8
 
 _memo: "OrderedDict[str, Any]" = OrderedDict()
 _disk_broken = False  # first I/O / pickling failure disables the disk tier
+_fingerprint: Optional[str] = None  # source_fingerprint(), once per process
+
+
+def source_fingerprint() -> str:
+    """sha256 over every ``.py`` file of the ``repro`` package (path and
+    bytes), computed once per process: a pickled payload only fits the
+    classes of the code that wrote it."""
+    global _fingerprint
+    if _fingerprint is None:
+        root = pathlib.Path(__file__).resolve().parent.parent
+        digest = hashlib.sha256()
+        for path in sorted(root.rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+        _fingerprint = digest.hexdigest()
+    return _fingerprint
 
 
 def snapshot_digest(kind: str, params: Mapping[str, Any]) -> str:
-    """sha256 over the canonical JSON of (schema version, kind, params)."""
+    """sha256 over the canonical JSON of (schema version, kind, params,
+    source fingerprint)."""
     body = json.dumps(
-        {"schema": SNAPSHOT_SCHEMA_VERSION, "kind": kind, "params": params},
+        {
+            "schema": SNAPSHOT_SCHEMA_VERSION,
+            "kind": kind,
+            "params": params,
+            "code": source_fingerprint(),
+        },
         sort_keys=True,
         separators=(",", ":"),
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import pathlib
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -42,8 +41,7 @@ def _isolated_snapshots(tmp_path, monkeypatch):
 
 
 def _boot(mac: str, seed: int = 5):
-    config = replace(optimized_ptguard_config(), mac_verify_cache_entries=64)
-    system = build_system(ptguard=config, mac_algorithm=mac, seed=seed)
+    system = build_system(ptguard=optimized_ptguard_config(), mac_algorithm=mac, seed=seed)
     process, _trace = system.workload_process(get_workload("povray"), seed=seed)
     return system, process.pid
 
@@ -60,7 +58,7 @@ def _machine_state(system):
         "epoch": system.guard.epoch if system.guard else None,
         "computations": engine.computations if engine else None,
         "engine_stats": engine.stats.as_dict() if engine else None,
-        "mac_memo": dict(engine._cache) if engine and engine._cache is not None else None,
+        "bulk_hints": dict(engine._bulk_tags or {}) if engine else None,
     }
 
 
@@ -155,6 +153,35 @@ class TestDigestAndGating:
         fresh, fresh_pid = _boot("pseudo")
         assert pid == fresh_pid
         assert _machine_state(system) == _machine_state(fresh)
+
+    def test_snapshot_from_other_code_is_never_restored(self, monkeypatch):
+        # A disk entry pickled by different sources (another checkout on
+        # the same cache dir, an older revision) must miss, not load into
+        # classes whose attributes no longer match.
+        params = {"mac": "blake2"}
+        boots = []
+
+        def boot():
+            boots.append(1)
+            return _boot("blake2")
+
+        snapshot.cached_boot("code", params, boot)
+        stored = snapshot.snapshot_digest("code", params)
+        assert (snapshot.snapshot_dir() / f"{stored}.pkl").exists()
+        monkeypatch.setattr(snapshot, "source_fingerprint", lambda: "0" * 64)
+        snapshot.reset()  # empty memo: only the disk tier could answer
+        assert snapshot.snapshot_digest("code", params) != stored
+        assert snapshot.fetch(snapshot.snapshot_digest("code", params)) is None
+        system, pid = snapshot.cached_boot("code", params, boot)
+        assert len(boots) == 2  # booted fresh
+        fresh, fresh_pid = _boot("blake2")
+        assert pid == fresh_pid
+        assert _machine_state(system) == _machine_state(fresh)
+
+    def test_source_fingerprint_is_stable_sha256(self):
+        first = snapshot.source_fingerprint()
+        assert first == snapshot.source_fingerprint()
+        assert len(first) == 64 and int(first, 16) >= 0
 
 
 class TestEndToEndEquality:

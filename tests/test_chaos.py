@@ -34,10 +34,12 @@ from repro.harness.parallel import (
 
 WORKLOADS = ["povray", "xz"]
 SCALE = 0.25  # 6 cells x ~0.1 s each
-# seed=1 over these 6 job keys yields 2 kills, 1 over-deadline delay (on
+# seed=14 over these 6 job keys yields 1 kill, 1 over-deadline delay (on
 # a job that is not also killed) and 2 corrupted cache entries — at
-# least one event on every chaos channel, deterministically.
-CHAOS = ChaosPolicy(seed=1, kill=0.3, delay=0.3, corrupt=0.3)
+# least one event on every chaos channel, deterministically. The seed is
+# tied to the job keys: a change to the cell params (e.g. a guard config
+# field) moves every key and needs a seed re-chosen against this bar.
+CHAOS = ChaosPolicy(seed=14, kill=0.3, delay=0.3, corrupt=0.3)
 
 
 def _fig6(cache=None):

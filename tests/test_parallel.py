@@ -9,6 +9,8 @@ that raises in a worker surfaces as a clear SimJobError, never a hang.
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.harness import parallel
@@ -123,6 +125,19 @@ class TestCacheKeys:
         assert cache.get(_job(seed=99)) is None
         assert cache.get(_job(mem_ops=2000)) is None
 
+    def test_job_recorded_with_retired_config_field_still_runs(self):
+        # Sweep journals and service WAL records written before a
+        # PTGuardConfig field was removed still carry it in their params.
+        from repro.common.config import PTGuardConfig
+        from repro.harness.parallel import decode_result, execute_job, guard_config_params
+
+        current = guard_config_params(PTGuardConfig())
+        recorded = _job(config={**current, "mac_verify_cache_entries": 0})
+        assert recorded.key() != _job(config=current).key()
+        replayed = decode_result(recorded, execute_job(recorded))
+        fresh = _job(config=current)
+        assert replayed == decode_result(fresh, execute_job(fresh))
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = _job()
@@ -200,3 +215,18 @@ class TestMulticoreJob:
         assert a == b and a.key() == b.key()
         assert a.key() != slowdown_job(["lbm"] * 4, mem_ops_per_core=200).key()
         assert a.params["seed"] == 3  # the emitter fixes the seed in the key
+
+
+
+USER_CACHE = pathlib.Path.home() / ".cache" / "ptguard-repro"
+
+
+class TestCacheDirIsolation:
+    def test_session_uses_a_private_cache_dir(self):
+        # tests/conftest.py points REPRO_CACHE_DIR away from the user
+        # cache, so no test reads what another checkout wrote there.
+        assert not parallel.default_cache_dir().is_relative_to(USER_CACHE)
+
+    def test_default_without_env_is_the_user_cache(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        assert parallel.default_cache_dir() == USER_CACHE
