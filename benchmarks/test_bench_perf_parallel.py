@@ -145,40 +145,6 @@ def _snapshot_sweep_overhead(trials: int) -> dict:
     }
 
 
-def _journal_flush_overhead(jobs_n: int) -> dict:
-    """Serial no-op cells against a fresh cache: journal cost isolated.
-
-    ``REPRO_JOURNAL_FLUSH=1`` restores fsync-per-append (the seed
-    behaviour); the default (16) bounds fsyncs to one per 16 appends.
-    With nothing to simulate, the delta is the journal's dispatch
-    overhead.
-    """
-    seconds = {}
-    expected = list(range(jobs_n))
-    for interval in (1, 16):
-        root = pathlib.Path(tempfile.mkdtemp(prefix="ptguard-bench-journal-"))
-        previous = os.environ.get("REPRO_JOURNAL_FLUSH")
-        os.environ["REPRO_JOURNAL_FLUSH"] = str(interval)
-        try:
-            jobs = [SimJob("bench_noop", {"i": i}) for i in range(jobs_n)]
-            start = time.perf_counter()
-            results = run_jobs(jobs, workers=1, cache=ResultCache(root))
-            seconds[interval] = time.perf_counter() - start
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_JOURNAL_FLUSH", None)
-            else:
-                os.environ["REPRO_JOURNAL_FLUSH"] = previous
-            shutil.rmtree(root, ignore_errors=True)
-        assert results == expected, "journal batching reordered or lost results"
-    return {
-        "jobs": jobs_n,
-        "fsync_per_append_sec": seconds[1],
-        "fsync_every16_sec": seconds[16],
-        "overhead_reduction": seconds[1] / seconds[16],
-    }
-
-
 def test_bench_perf_parallel(once, emit):
     mem_ops = int(20_000 * scale())
     warmup = int(12_000 * scale())
@@ -206,7 +172,6 @@ def test_bench_perf_parallel(once, emit):
             "snapshot_sweep": _snapshot_sweep_overhead(
                 trials=max(5, int(15 * scale()))
             ),
-            "journal": _journal_flush_overhead(jobs_n=200),
         }
 
     try:
@@ -224,7 +189,6 @@ def test_bench_perf_parallel(once, emit):
     degraded_host = cpus < 4
     dispatch = result["dispatch"]
     snap = result["snapshot_sweep"]
-    journal = result["journal"]
 
     emit(
         "\n".join(
@@ -255,10 +219,6 @@ def test_bench_perf_parallel(once, emit):
                 f"{snap['cold_boot_sec']:.2f}s off vs "
                 f"{snap['snapshot_sec']:.2f}s on = {snap['speedup']:.2f}x, "
                 f"reports identical: {snap['reports_identical']}",
-                f"journal fsync batching ({journal['jobs']} no-op cells): "
-                f"{journal['fsync_per_append_sec']:.2f}s per-append vs "
-                f"{journal['fsync_every16_sec']:.2f}s at REPRO_JOURNAL_FLUSH=16 "
-                f"({journal['overhead_reduction']:.1f}x less)",
             ]
         )
     )
@@ -272,7 +232,6 @@ def test_bench_perf_parallel(once, emit):
         "workers": workers,
         "dispatch_overhead": dispatch,
         "boot_snapshots": snap,
-        "journal_flush": journal,
         "serial_sec": result["serial_sec"],
         "parallel_cold_sec": result["parallel_sec"],
         "warm_cache_sec": result["warm_sec"],

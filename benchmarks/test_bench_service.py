@@ -203,8 +203,8 @@ def _kill():
     raise _SimulatedKill("crash channel fired")
 
 
-def _wal_append_us(root, fsync_interval):
-    log = StateLog(root / f"bench-f{fsync_interval}.wal", fsync_interval=fsync_interval)
+def _wal_append_us(root):
+    log = StateLog(root / "bench-append.wal")
     record = {"type": "accept", "ticket": "s-0001", "tenant": "alice"}
     start = time.perf_counter()
     for index in range(WAL_APPENDS):
@@ -215,7 +215,7 @@ def _wal_append_us(root, fsync_interval):
 
 
 def _replay_ms(root, length):
-    log = StateLog(root / f"bench-r{length}.wal", fsync_interval=length)
+    log = StateLog(root / f"bench-r{length}.wal")
     for index in range(length):
         log.append({"type": "accept", "ticket": f"s-{index:04d}", "n": index})
     log.close()
@@ -232,8 +232,7 @@ def test_bench_service_recovery(once, emit):
     root = pathlib.Path(tempfile.mkdtemp(prefix="ptguard-bench-rec-"))
 
     def experiment():
-        append_us = _wal_append_us(root, fsync_interval=1)
-        append_batched_us = _wal_append_us(root, fsync_interval=64)
+        append_us = _wal_append_us(root)
         replay = {str(n): _replay_ms(root, n) for n in REPLAY_LENGTHS}
 
         # A mid-sweep crash at a seed-addressed cell, then a restart
@@ -274,7 +273,6 @@ def test_bench_service_recovery(once, emit):
         assert results == run_jobs(jobs, workers=1)
         return {
             "append_us": append_us,
-            "append_batched_us": append_batched_us,
             "replay_ms": replay,
             "cells_total": len(jobs),
             "cells_cached_at_crash": stats.cached,
@@ -296,8 +294,6 @@ def test_bench_service_recovery(once, emit):
                 "",
                 f"{'WAL append (fsync each)':<28} "
                 f"{result['append_us']:>8.1f} us/record",
-                f"{'WAL append (fsync/64)':<28} "
-                f"{result['append_batched_us']:>8.1f} us/record",
                 *(
                     f"{f'replay {length} records':<28} "
                     f"{result['replay_ms'][str(length)]:>8.2f} ms"
@@ -319,7 +315,6 @@ def test_bench_service_recovery(once, emit):
             "recovery": {
                 "repro_scale": scale(),
                 "wal_append_us": result["append_us"],
-                "wal_append_batched_us": result["append_batched_us"],
                 "wal_replay_ms": result["replay_ms"],
                 "recover_ms": result["recover_ms"],
                 "cells_total": result["cells_total"],

@@ -1,4 +1,5 @@
-"""Shared utilities: bit manipulation, configuration, errors, statistics."""
+"""Shared utilities: bit manipulation, configuration, errors, statistics,
+record logs."""
 
 from repro.common.bitops import (
     bit,

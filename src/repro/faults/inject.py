@@ -3,11 +3,13 @@
 Two layers live here:
 
 * **Decision primitives** — :func:`deterministic_fraction`,
-  :func:`deterministic_choice` and :func:`garble_payload`. These are the
-  single source of truth for seeded corruption decisions; the chaos
-  harness (:mod:`repro.harness.chaos`) delegates to them so that
-  harness-level and simulator-level corruption share one decision
-  function. The digest format — ``sha256(f"{seed}:{channel}:{key}")`` —
+  :func:`deterministic_choice` and :func:`garble_payload`, plus
+  :func:`parse_policy_spec`, the one ``name=value`` grammar both chaos
+  policies are configured with. These are the single source of truth
+  for seeded corruption decisions; the chaos harness
+  (:mod:`repro.harness.chaos`) delegates to them so that harness-level
+  and simulator-level corruption share one decision function. The
+  digest format — ``sha256(f"{seed}:{channel}:{key}")`` —
   is load-bearing: chaos replay guarantees in ``tests/test_chaos.py``
   assert byte-identical fault patterns across runs and platforms.
 
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+import typing
+from dataclasses import dataclass, fields
+from typing import Any, Sequence, Tuple
 
 from repro.core import pattern
 
@@ -87,6 +90,43 @@ def deterministic_choice(seed: int, channel: str, key: str, n: int) -> int:
         raise ValueError(f"deterministic_choice needs n >= 1, got {n}")
     digest = _digest(seed, channel, key)
     return int.from_bytes(digest[8:16], "big") % n
+
+
+def parse_policy_spec(policy_class: Any, spec: str, what: str = "chaos") -> Any:
+    """Parse a ``name=value,...`` spec into a ``policy_class`` dataclass.
+
+    The grammar is read off the dataclass's fields: a float field is a
+    probability in [0, 1], ``seed`` is any int, and every other field is
+    an int count >= 1. Raises ``ValueError`` on unknown fields,
+    malformed values or out-of-range numbers; ``what`` names the policy
+    in those messages (``"chaos"``, ``"service chaos"``).
+    """
+    names = {f.name for f in fields(policy_class)}
+    hints = typing.get_type_hints(policy_class)
+    values: dict = {}
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        name, separator, raw = part.partition("=")
+        name, raw = name.strip(), raw.strip()
+        if not separator or not raw:
+            raise ValueError(f"bad {what} field {part!r} (want name=value)")
+        if name not in names:
+            raise ValueError(f"unknown {what} field {name!r}")
+        if hints[name] is float:
+            probability = float(raw)
+            if not 0.0 <= probability <= 1.0:
+                raise ValueError(f"{name} probability {probability} outside [0, 1]")
+            values[name] = probability
+        elif name == "seed":
+            values[name] = int(raw)
+        else:
+            count = int(raw)
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1")
+            values[name] = count
+    return policy_class(**values)
 
 
 def garble_payload(data: bytes) -> bytes:

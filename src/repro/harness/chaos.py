@@ -50,9 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.faults.inject import deterministic_fraction, garble_payload
-
-_PROBABILITY_CHANNELS = ("kill", "delay", "corrupt")
+from repro.faults.inject import (
+    deterministic_fraction,
+    garble_payload,
+    parse_policy_spec,
+)
 
 
 @dataclass(frozen=True)
@@ -78,37 +80,9 @@ class ChaosPolicy:
 
     @classmethod
     def from_spec(cls, spec: str) -> "ChaosPolicy":
-        """Parse ``seed=3,kill=0.2,delay=0.1,corrupt=0.1,abort_after=5``.
-
-        Raises ``ValueError`` on unknown fields, malformed values or
-        probabilities outside [0, 1].
-        """
-        values: dict = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, separator, raw = part.partition("=")
-            name, raw = name.strip(), raw.strip()
-            if not separator or not raw:
-                raise ValueError(f"bad chaos field {part!r} (want name=value)")
-            if name == "seed":
-                values["seed"] = int(raw)
-            elif name == "abort_after":
-                count = int(raw)
-                if count < 1:
-                    raise ValueError("abort_after must be >= 1")
-                values["abort_after"] = count
-            elif name in _PROBABILITY_CHANNELS:
-                probability = float(raw)
-                if not 0.0 <= probability <= 1.0:
-                    raise ValueError(
-                        f"{name} probability {probability} outside [0, 1]"
-                    )
-                values[name] = probability
-            else:
-                raise ValueError(f"unknown chaos field {name!r}")
-        return cls(**values)
+        """Parse ``seed=3,kill=0.2,delay=0.1,corrupt=0.1,abort_after=5``
+        (grammar: :func:`~repro.faults.inject.parse_policy_spec`)."""
+        return parse_policy_spec(cls, spec, "chaos")
 
 
 def simulated_thread_fault(policy: ChaosPolicy, job, timeout_s):

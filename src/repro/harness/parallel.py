@@ -47,8 +47,9 @@ job — each see their own :class:`ExecutionPolicy` and
   invalidated. Every entry carries a SHA-256 digest of its payload that
   is verified on read; corrupt/truncated entries are quarantined to
   ``<root>/quarantine/`` and recomputed, never trusted and never fatal.
-* :class:`SweepJournal` — an append-only JSONL manifest, one file per
-  sweep under ``<cache root>/journals/``, recording each completed cell
+* :class:`SweepJournal` — an append-only record log
+  (:mod:`repro.common.recordlog`), one file per sweep under
+  ``<cache root>/journals/``, recording each completed cell
   as it lands. Completed cells also hit the cache *immediately*
   (write-through), so a run interrupted by SIGINT/SIGKILL/OOM resumes
   with ``--resume`` recomputing only the missing cells — and, because
@@ -97,6 +98,7 @@ from repro.common.errors import (
     UnknownJobKindError,
     WorkerCrashError,
 )
+from repro.common.recordlog import RecordLog, atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -106,6 +108,9 @@ CACHE_SCHEMA_VERSION = 2
 # Supervisor poll granularity: deadline checks and worker-death scans
 # happen at least this often while waiting for results.
 _POLL_INTERVAL_S = 0.05
+
+# How often an idle pool worker checks that its supervisor is alive.
+_ORPHAN_CHECK_S = 1.0
 
 # Exit status a chaos-killed worker dies with (mirrors SIGKILL/OOM).
 CHAOS_KILL_EXIT = 137
@@ -545,9 +550,7 @@ class ResultCache:
             },
             sort_keys=True,
         )
-        tmp = path.with_name(f".{key}.{os.getpid()}.tmp")
-        tmp.write_text(body + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        atomic_write(path, (body + "\n").encode("utf-8"))
 
     def put(self, job: SimJob, payload: Any) -> bool:
         """Write ``job``'s result through to disk; False on a disk fault.
@@ -599,89 +602,24 @@ def sweep_id(jobs: Sequence[SimJob]) -> str:
     return digest.hexdigest()[:16]
 
 
-def journal_flush_interval(default: int = 16) -> int:
-    """Journal fsync cadence from ``REPRO_JOURNAL_FLUSH``.
-
-    Every append is still *flushed* (visible to readers immediately);
-    this bounds how many appends may ride between *fsyncs* — the
-    crash-durability knob. ``1`` restores the original fsync-per-append
-    behaviour; :func:`run_jobs` forces that under chaos injection so the
-    torn-tail/resume tests keep exercising worst-case journals. Losing
-    the tail of a journal is always safe: payloads live in the
-    write-through cache, so a resume merely re-reads a few cells it
-    would have skipped. Unset or invalid values fall back to
-    ``default``; values below 1 clamp to 1.
-    """
-    raw = os.environ.get("REPRO_JOURNAL_FLUSH")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)
-
-
-class SweepJournal:
-    """Append-only JSONL manifest of one sweep's progress.
+class SweepJournal(RecordLog):
+    """Append-only manifest of one sweep's progress.
 
     One file per sweep (named by :func:`sweep_id`) next to the cache:
-    ``<cache root>/journals/<sweep id>.jsonl``. Records are flushed per
-    append and fsynced at least every ``fsync_interval`` appends
-    (:func:`journal_flush_interval`), so after SIGKILL/OOM the journal
-    is at worst missing a bounded tail — and :meth:`load` tolerates
-    exactly that by discarding a truncated line. The journal is
-    bookkeeping, not a data store: payloads live in the cache (written
-    through as cells finish), which is what makes ``--resume`` recompute
-    only the missing cells.
+    ``<cache root>/journals/<sweep id>.jsonl``, in the shared
+    :mod:`repro.common.recordlog` format — so after SIGKILL/OOM the
+    journal is at worst missing one torn line, a corrupt record is
+    quarantined and skipped rather than hiding every later one, and a
+    disk fault degrades the journal instead of failing the sweep. The
+    journal is bookkeeping, not a data store: payloads live in the cache
+    (written through as cells finish), which is what makes ``--resume``
+    recompute only the missing cells.
     """
 
-    def __init__(self, path: pathlib.Path, fsync_interval: int = 1):
-        self.path = pathlib.Path(path)
-        self.fsync_interval = max(1, fsync_interval)
-        self._handle = None
-        self._unsynced = 0
+    kind = "sweep journal"
 
-    def append(self, record: Mapping[str, Any]) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        self._unsynced += 1
-        if self._unsynced >= self.fsync_interval:
-            self.sync()
-
-    def sync(self) -> None:
-        """Force the durability point up to the last append."""
-        if self._handle is not None and self._unsynced:
-            os.fsync(self._handle.fileno())
-        self._unsynced = 0
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self.sync()
-            self._handle.close()
-            self._handle = None
-
-    @staticmethod
-    def load(path: pathlib.Path) -> List[Dict[str, Any]]:
-        """All parseable records; a torn final line (crash mid-append)
-        and anything after it are dropped."""
-        records: List[Dict[str, Any]] = []
-        try:
-            with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        records.append(json.loads(line))
-                    except ValueError:
-                        break
-        except OSError:
-            return []
-        return records
+    # Bound in this class body: the layer tracer patches its __dict__.
+    append = RecordLog.append
 
 
 # -- execution policy ---------------------------------------------------------
@@ -922,9 +860,19 @@ def _worker_main(worker_id: int, task_queue, result_queue, chaos) -> None:
     job): ``kill`` exits hard with no result (simulated OOM-kill);
     ``delay`` sleeps past the chunk's deadline so the supervisor's
     timeout path fires.
+
+    A worker also exits once its supervisor dies (SIGKILL/OOM) and it is
+    re-parented. A blocking ``get`` would wait forever instead: forked
+    workers hold the task queue's write end, so it never reports EOF.
     """
+    supervisor = os.getppid()
     while True:
-        item = task_queue.get()
+        try:
+            item = task_queue.get(timeout=_ORPHAN_CHECK_S)
+        except queue_module.Empty:
+            if os.getppid() != supervisor:
+                return
+            continue
         if item is None:
             return
         chunk_id, pairs, attempt, timeout_s = item
@@ -1547,15 +1495,11 @@ def run_jobs(
     _STATS_VAR.set(stats)
 
     journal: Optional[SweepJournal] = None
+    start: Dict[str, Any] = {}
     resumable = 0
     if cache is not None and jobs:
         sid = sweep_id(jobs)
-        # Chaos campaigns pin fsync-per-append: their torn-tail/resume
-        # assertions are about worst-case (every-record) journals.
-        interval = 1 if active.chaos is not None else journal_flush_interval()
-        journal = SweepJournal(
-            cache.root / "journals" / f"{sid}.jsonl", fsync_interval=interval
-        )
+        journal = SweepJournal(cache.root / "journals" / f"{sid}.jsonl")
         prior = SweepJournal.load(journal.path)
         if prior and not any(r.get("event") == "sweep_complete" for r in prior):
             resumable = sum(1 for r in prior if r.get("event") == "job_done")
@@ -1565,19 +1509,17 @@ def run_jobs(
                 sid,
                 resumable,
             )
-        journal.append(
-            {
-                "event": "sweep_start",
-                "sweep_id": sid,
-                "jobs": len(jobs),
-                "resumed": bool(resumable) or active.resume,
-                "ts": time.time(),
-            }
-        )
+        start = {
+            "event": "sweep_start",
+            "sweep_id": sid,
+            "jobs": len(jobs),
+            "resumed": bool(resumable) or active.resume,
+            "ts": time.time(),
+        }
 
     try:
         return _run_jobs_body(
-            jobs, resolved, active, stats, cache, journal, resumable, backend
+            jobs, resolved, active, stats, cache, journal, start, resumable, backend
         )
     finally:
         if journal is not None:
@@ -1591,6 +1533,7 @@ def _run_jobs_body(
     stats: "FabricStats",
     cache: Optional[ResultCache],
     journal: Optional[SweepJournal],
+    start: Dict[str, Any],
     resumable: int,
     backend: Optional[Union[str, ExecutorBackend]] = None,
 ) -> List[Any]:
@@ -1610,6 +1553,10 @@ def _run_jobs_body(
             stats.resumed_cells = stats.cached
 
     missing = [(index, job) for index, job in enumerate(jobs) if not done[index]]
+    if journal is not None and missing:
+        # Logged before any cell runs. A sweep served entirely from the
+        # cache logs its start with its completion: one append, one fsync.
+        journal.append(start)
 
     def complete(index: int, job: SimJob, payload: Any, attempt: int) -> None:
         payloads[index] = payload
@@ -1654,12 +1601,14 @@ def _run_jobs_body(
             InProcessBackend().run(broken.remaining, active, stats, complete)
 
     if journal is not None:
-        journal.append(
-            {
-                "event": "sweep_complete",
-                "fresh": stats.fresh,
-                "cached": stats.cached,
-                "ts": time.time(),
-            }
-        )
+        finish = {
+            "event": "sweep_complete",
+            "fresh": stats.fresh,
+            "cached": stats.cached,
+            "ts": time.time(),
+        }
+        if missing:
+            journal.append(finish)
+        else:
+            journal.append(start, finish)
     return [decode_result(job, payloads[index]) for index, job in enumerate(jobs)]

@@ -63,11 +63,12 @@ import copy
 import hashlib
 import json
 import logging
-import os
 import pathlib
 import pickle
 from collections import OrderedDict
 from typing import Any, Callable, Mapping, Optional
+
+from repro.common.recordlog import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -189,12 +190,10 @@ def store(digest: str, payload: Any) -> None:
     try:
         directory = snapshot_dir()
         directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{digest}.pkl"
-        tmp = path.with_name(f".{digest}.{os.getpid()}.tmp")
-        tmp.write_bytes(
-            hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body
+        atomic_write(
+            directory / f"{digest}.pkl",
+            hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body,
         )
-        os.replace(tmp, path)
     except OSError as exc:
         _disk_broken = True
         logger.warning(

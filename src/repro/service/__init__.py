@@ -25,6 +25,7 @@ Public surface:
   watchdog: bounded-backoff restarts with crash-loop detection.
 """
 
+from repro.common.recordlog import ReplayResult, replay_bytes
 from repro.service.admission import AdmissionQueue, TokenBucket
 from repro.service.breaker import CircuitBreaker
 from repro.service.chaos import (
@@ -49,7 +50,7 @@ from repro.service.tenancy import (
     tenant_cache_root,
     validate_tenant,
 )
-from repro.service.wal import ReplayResult, StateLog, replay_bytes
+from repro.service.wal import StateLog
 
 __all__ = [
     "AdmissionQueue",

@@ -42,7 +42,7 @@ import signal
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.faults.inject import deterministic_fraction
+from repro.faults.inject import deterministic_fraction, parse_policy_spec
 from repro.harness.chaos import ChaosPolicy
 from repro.harness.parallel import ExecutionPolicy
 
@@ -103,35 +103,9 @@ class ServiceChaosPolicy:
 
     @classmethod
     def from_spec(cls, spec: str) -> "ServiceChaosPolicy":
-        """Parse ``seed=7,kill_backend=0.3,crash=1.0``.
-
-        Same grammar as :meth:`ChaosPolicy.from_spec` one layer down:
-        comma-separated ``name=value``, probabilities validated to
-        [0, 1], unknown fields rejected.
-        """
-        values: dict = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, separator, raw = part.partition("=")
-            name, raw = name.strip(), raw.strip()
-            if not separator or not raw:
-                raise ValueError(
-                    f"bad service chaos field {part!r} (want name=value)"
-                )
-            if name == "seed":
-                values["seed"] = int(raw)
-            elif name in ("kill_backend", "crash"):
-                probability = float(raw)
-                if not 0.0 <= probability <= 1.0:
-                    raise ValueError(
-                        f"{name} probability {probability} outside [0, 1]"
-                    )
-                values[name] = probability
-            else:
-                raise ValueError(f"unknown service chaos field {name!r}")
-        return cls(**values)
+        """Parse ``seed=7,kill_backend=0.3,crash=1.0`` (the grammar of
+        :func:`~repro.faults.inject.parse_policy_spec`)."""
+        return parse_policy_spec(cls, spec, "service chaos")
 
 
 def default_crash_fn() -> None:

@@ -1,6 +1,6 @@
 """Streaming progress from sweep journals.
 
-The fabric already writes an append-only JSONL journal per sweep
+The fabric already writes an append-only journal per sweep
 (:class:`repro.harness.parallel.SweepJournal`): ``sweep_start``, one
 ``job_done`` per completed cell, ``sweep_complete``. The service
 streams *live* progress to clients by tailing that file — no second
@@ -9,21 +9,23 @@ stream inherits the journal's crash story.
 
 :class:`JournalTail` is an incremental reader with one invariant: the
 sequence of records it has yielded is always a *monotonically growing
-prefix* of the journal. It remembers a byte offset and, on each
-:meth:`poll`, consumes only complete, newline-terminated, parseable
-lines past that offset. A torn tail — a partial line mid-append, or a
-line written but not yet newline-terminated — is left *unconsumed* (the
-offset does not advance past it), so the next poll re-reads it once the
-writer finishes. Records are therefore never yielded twice, never
-skipped, and never yielded torn, even while the writer is appending
-concurrently under any ``REPRO_JOURNAL_FLUSH`` batching.
+prefix* of the journal's verified records. It remembers a byte offset
+and, on each :meth:`poll`, replays the bytes past it with the same
+:func:`~repro.common.recordlog.replay_bytes` that journal replay uses.
+An unterminated last line — an append still in flight — is left
+unconsumed for the next poll; a newline-terminated line that fails
+verification cannot be a torn write (the writer emits the newline
+last), so it is skipped and counted in ``quarantined``. Records are
+therefore never yielded twice, never skipped, and never yielded torn,
+even while the writer is appending concurrently.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import Any, Dict, List, Optional
+
+from repro.common.recordlog import replay_bytes
 
 
 class JournalTail:
@@ -33,14 +35,13 @@ class JournalTail:
         self.path = pathlib.Path(path)
         self.offset = 0
         self.records: List[Dict[str, Any]] = []
+        self.quarantined = 0
 
     def poll(self) -> List[Dict[str, Any]]:
         """Return records appended since the last poll (possibly empty).
 
-        Only complete, parseable lines are consumed; the offset stops at
-        the first torn/unterminated line so a concurrent append is
-        picked up whole on a later poll. A journal that does not exist
-        yet (sweep not started) is simply an empty poll.
+        A journal that does not exist yet (sweep not started) is simply
+        an empty poll.
         """
         try:
             with open(self.path, "rb") as handle:
@@ -48,27 +49,11 @@ class JournalTail:
                 data = handle.read()
         except OSError:
             return []
-
-        fresh: List[Dict[str, Any]] = []
-        consumed = 0
-        while True:
-            newline = data.find(b"\n", consumed)
-            if newline < 0:
-                break  # unterminated tail: leave for the next poll
-            line = data[consumed : newline]
-            stripped = line.strip()
-            if stripped:
-                try:
-                    fresh.append(json.loads(stripped.decode("utf-8")))
-                except (ValueError, UnicodeDecodeError):
-                    # A terminated-but-garbled line can only be a torn
-                    # write racing us; stop here and re-read next poll.
-                    break
-            consumed = newline + 1
-
-        self.offset += consumed
-        self.records.extend(fresh)
-        return fresh
+        result = replay_bytes(data)
+        self.offset += result.consumed
+        self.quarantined += len(result.quarantined)
+        self.records.extend(result.records)
+        return result.records
 
     # -- cumulative views over everything polled so far -------------------
 

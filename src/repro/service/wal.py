@@ -11,322 +11,23 @@ completion) is appended here *before* it is acknowledged, so a
 restarted service replays the log, re-issues the same tickets and
 re-adopts in-flight sweeps from their journals and cache entries.
 
-Format and failure discipline, in the same idiom as the sweep journal
-and :class:`~repro.service.progress.JournalTail`:
-
-* **Records are JSONL with per-record integrity.** Each line is
-  ``{"rec": <body>, "sha": <digest>}`` where ``sha`` is a truncated
-  SHA-256 over the canonical JSON of the body. A flipped bit on disk is
-  *detected*, never trusted.
-* **Torn tails are expected, not fatal.** A crash mid-append leaves at
-  worst one unterminated line; :func:`replay_bytes` stops consuming at
-  the first torn tail, so the replayed state is always a *monotone
-  prefix* of what was logged (the property test in
-  ``tests/test_wal.py`` proves this for arbitrary truncation points).
-* **Corrupt records are quarantined and skipped.** A terminated line
-  whose digest does not verify (bit rot, a partially overwritten
-  sector) is copied to ``<log>.quarantine`` for post-mortem and
-  replay continues with the next record — the same
-  detect/quarantine/degrade discipline the result cache applies to its
-  entries.
-* **Disk faults degrade, never crash.** ENOSPC/EIO on append marks the
-  log ``degraded`` (warn-once, counted); the service keeps running
-  memory-only and surfaces ``durability: degraded`` in ``health()`` /
-  ``ready()`` instead of turning a full disk into an outage.
-* **fsync is batched like the journal.** Every append is flushed;
-  fsync happens at least every ``REPRO_WAL_FLUSH`` appends (default 1:
-  a record is durable before the call that logged it returns, which is
-  what "logged before acknowledged" means; raising it trades a bounded
-  acknowledged-but-lost tail for throughput, exactly the
-  ``REPRO_JOURNAL_FLUSH`` trade).
+Format and failure discipline — sha-framed records, torn tails
+dropped, corrupt records quarantined and skipped, disk faults degrading
+to memory-only, fsync before every append returns — are those of the
+shared :mod:`repro.common.recordlog`; the service surfaces a degraded
+log as ``durability: degraded`` in ``health()`` / ``ready()``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import json
-import logging
-import os
-import pathlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
-
-logger = logging.getLogger(__name__)
-
-# Bumped when the record encoding changes incompatibly; replay ignores
-# records from other schema versions rather than misreading them.
-WAL_SCHEMA_VERSION = 1
-
-# Truncated SHA-256 hex digits per record. 16 hex chars = 64 bits:
-# plenty to detect corruption (this is an integrity check against bit
-# rot, not an adversarial MAC — the threat model is a dying disk).
-_DIGEST_CHARS = 16
+from repro.common.recordlog import RecordLog
 
 
-def wal_flush_interval(default: int = 1) -> int:
-    """fsync cadence for the state log from ``REPRO_WAL_FLUSH``.
+class StateLog(RecordLog):
+    """The service's ``service.wal`` under its ``--state-dir``."""
 
-    Default 1: every record is fsynced before the append returns, so an
-    acknowledged transition is durable. Values above 1 batch fsyncs
-    (bounded acknowledged-but-lost tail after a crash); unset or
-    unparsable values fall back to ``default``; values below 1 clamp
-    to 1.
-    """
-    raw = os.environ.get("REPRO_WAL_FLUSH")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)
+    kind = "state log"
 
-
-def _body_digest(body: Mapping[str, Any]) -> str:
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:_DIGEST_CHARS]
-
-
-def encode_record(record: Mapping[str, Any]) -> str:
-    """One WAL line (newline-terminated) for ``record``.
-
-    The body rides next to a truncated SHA-256 of its canonical JSON;
-    :func:`decode_record` refuses any line whose digest does not
-    re-derive, which is what lets replay distinguish "corrupt" from
-    "merely torn".
-    """
-    body = {"v": WAL_SCHEMA_VERSION, **record}
-    return (
-        json.dumps(
-            {"rec": body, "sha": _body_digest(body)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
-    )
-
-
-def decode_record(line: str) -> Optional[Dict[str, Any]]:
-    """The record encoded in ``line``, or None if it does not verify.
-
-    None covers every way a line can be wrong — unparsable JSON, a
-    missing envelope field, a digest mismatch, a foreign schema
-    version — because replay treats them all the same way: quarantine
-    and skip.
-    """
-    try:
-        envelope = json.loads(line)
-        body = envelope["rec"]
-        digest = envelope["sha"]
-    except (ValueError, KeyError, TypeError):
-        return None
-    if not isinstance(body, dict) or not isinstance(digest, str):
-        return None
-    if body.get("v") != WAL_SCHEMA_VERSION:
-        return None
-    if _body_digest(body) != digest:
-        return None
-    record = dict(body)
-    record.pop("v")
-    return record
-
-
-@dataclass
-class ReplayResult:
-    """What :func:`replay_bytes` recovered from a log image."""
-
-    records: List[Dict[str, Any]] = field(default_factory=list)
-    quarantined: List[str] = field(default_factory=list)
-    torn: bool = False
-
-    @property
-    def clean(self) -> bool:
-        return not self.quarantined and not self.torn
-
-
-def replay_bytes(data: bytes) -> ReplayResult:
-    """Replay a WAL image: verified records in order, damage accounted.
-
-    Complete lines that verify are yielded in order; complete lines
-    that do not verify are quarantined and *skipped* (replay
-    continues); an unterminated final line is a torn tail from a crash
-    mid-append and is dropped. Pure truncation therefore always yields
-    an exact prefix of the appended records — the monotone-prefix
-    invariant the recovery path is built on.
-    """
-    result = ReplayResult()
-    consumed = 0
-    while True:
-        newline = data.find(b"\n", consumed)
-        if newline < 0:
-            result.torn = consumed < len(data)
-            break
-        raw = data[consumed : newline + 1]
-        consumed = newline + 1
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        try:
-            line = stripped.decode("utf-8")
-        except UnicodeDecodeError:
-            result.quarantined.append(repr(stripped))
-            continue
-        record = decode_record(line)
-        if record is None:
-            result.quarantined.append(line)
-        else:
-            result.records.append(record)
-    return result
-
-
-class StateLog:
-    """Append-only, fsync-batched, damage-tolerant service state log.
-
-    One file (``service.wal`` under the service's ``--state-dir``);
-    :meth:`append` never raises — a disk fault (ENOSPC, EIO, a path
-    that cannot be created) flips the log to ``degraded`` with one
-    warning and every later append becomes a counted no-op, so the
-    service it backs keeps serving memory-only.
-    """
-
-    def __init__(
-        self,
-        path: pathlib.Path,
-        fsync_interval: Optional[int] = None,
-    ):
-        self.path = pathlib.Path(path)
-        self.fsync_interval = (
-            wal_flush_interval() if fsync_interval is None else max(1, fsync_interval)
-        )
-        self.degraded = False
-        self.write_errors = 0
-        self.records_written = 0
-        self._handle = None
-        self._unsynced = 0
-        self._warned = False
-
-    # -- writing -----------------------------------------------------------
-
-    def _fail(self, exc: OSError, what: str) -> None:
-        self.write_errors += 1
-        if not self._warned:
-            self._warned = True
-            logger.warning(
-                "state log %s failed (%s: %s) -- degrading to memory-only "
-                "durability; submissions keep running but will not survive "
-                "a crash until the disk recovers",
-                what,
-                type(exc).__name__,
-                exc,
-            )
-        self.degraded = True
-        if self._handle is not None:
-            with contextlib.suppress(OSError):
-                self._handle.close()
-            self._handle = None
-
-    def append(self, record: Mapping[str, Any]) -> bool:
-        """Log one record; True when it reached the file.
-
-        False means the log is (now) degraded; the caller's state
-        transition still happens — durability, not liveness, is what
-        was lost.
-        """
-        if self.degraded:
-            self.write_errors += 1
-            return False
-        line = encode_record(record)
-        try:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(line)
-            self._handle.flush()
-            self._unsynced += 1
-            if self._unsynced >= self.fsync_interval:
-                self.sync()
-        except OSError as exc:
-            self._fail(exc, "append")
-            return False
-        self.records_written += 1
-        return True
-
-    def sync(self) -> None:
-        if self._handle is not None and self._unsynced:
-            try:
-                os.fsync(self._handle.fileno())
-            except OSError as exc:
-                self._fail(exc, "fsync")
-                return
-        self._unsynced = 0
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self.sync()
-            with contextlib.suppress(OSError):
-                self._handle.close()
-            self._handle = None
-
-    # -- replay ------------------------------------------------------------
-
-    def replay(self) -> ReplayResult:
-        """Recover the log from disk; quarantine damaged lines.
-
-        A missing file is an empty (clean) replay — first boot. Corrupt
-        lines are appended to ``<log>.quarantine`` best-effort so the
-        evidence survives the skip, mirroring the result cache's
-        quarantine directory.
-        """
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return ReplayResult()
-        except OSError as exc:
-            self._fail(exc, "replay read")
-            return ReplayResult()
-        result = replay_bytes(data)
-        if result.quarantined:
-            logger.warning(
-                "state log %s: %d corrupt record(s) quarantined and "
-                "skipped during replay",
-                self.path,
-                len(result.quarantined),
-            )
-            with contextlib.suppress(OSError):
-                with open(
-                    self.path.with_suffix(".quarantine"), "a", encoding="utf-8"
-                ) as handle:
-                    for line in result.quarantined:
-                        handle.write(line + "\n")
-        return result
-
-    def compact(self, records: List[Mapping[str, Any]]) -> None:
-        """Atomically rewrite the log as exactly ``records``.
-
-        Used after replay to coalesce a long transition history into
-        one accept + latest-state pair per ticket, bounding log growth
-        across restarts. Atomic (tmp + rename) like every cache write;
-        a failure degrades instead of raising, leaving the old log —
-        which replays identically — in place.
-        """
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for record in records:
-                    handle.write(encode_record(record))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        except OSError as exc:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
-            self._fail(exc, "compact")
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "records_written": self.records_written,
-            "write_errors": self.write_errors,
-            "fsync_interval": self.fsync_interval,
-        }
+    # Bound in this class body: the layer tracer patches its __dict__.
+    append = RecordLog.append
+    replay = RecordLog.replay

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,29 @@ class TestDigestAndGating:
         fresh, fresh_pid = _boot("pseudo")
         assert pid == fresh_pid
         assert _machine_state(system) == _machine_state(fresh)
+
+    def test_racing_stores_of_one_digest_keep_the_disk_tier(self):
+        # Service tenants share boot_snapshots/, so two threads can store
+        # one digest at once. Each needs a private temp file: a shared one
+        # makes a rename fail, which turns the disk tier off process-wide.
+        digest = snapshot.snapshot_digest("race", {"mac": "pseudo"})
+        payload = {"rows": list(range(20_000))}
+        barrier = threading.Barrier(2)
+
+        def store():
+            barrier.wait()
+            snapshot.store(digest, payload)
+
+        for _ in range(20):
+            threads = [threading.Thread(target=store) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not snapshot._disk_broken
+        snapshot.reset()  # empty memo: the fetch reads and verifies disk
+        assert snapshot.fetch(digest) == payload
+        assert not list(snapshot.snapshot_dir().glob(".*.tmp"))
 
     def test_snapshot_from_other_code_is_never_restored(self, monkeypatch):
         # A disk entry pickled by different sources (another checkout on

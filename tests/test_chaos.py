@@ -114,6 +114,23 @@ def _entries(cache_dir):
     return list(cache_dir.glob("??/*.json"))
 
 
+def _processes_mentioning(path):
+    """Pids of live processes whose command line contains ``path``."""
+    needle = str(path).encode()
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read()
+        except OSError:
+            continue
+        if needle in cmdline:
+            pids.append(int(entry))
+    return pids
+
+
 class TestSigkillResume:
     def test_sigkill_midsweep_then_resume_is_byte_identical(self, tmp_path):
         env = dict(os.environ)
@@ -142,6 +159,14 @@ class TestSigkillResume:
         finally:
             victim.wait(timeout=30)
         assert victim.returncode == -signal.SIGKILL
+        # Its pool workers notice the dead supervisor and exit instead
+        # of blocking on their task queues forever.
+        orphans = _processes_mentioning(cache_dir)
+        deadline = time.monotonic() + 5
+        while orphans and time.monotonic() < deadline:
+            time.sleep(0.1)
+            orphans = _processes_mentioning(cache_dir)
+        assert orphans == [], f"orphaned pool workers still alive: {orphans}"
 
         done_before = len(_entries(cache_dir))
         assert 1 <= done_before < 6, "kill landed too late to leave missing cells"

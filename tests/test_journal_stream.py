@@ -3,17 +3,17 @@
 The invariant under test (repro.service.progress.JournalTail): the
 record sequence a tail has yielded is always a monotonically growing
 prefix of the journal — records are never yielded twice, never skipped,
-and never yielded torn, under torn tails, concurrent appends and any
-``REPRO_JOURNAL_FLUSH`` batching.
+and never yielded torn, under torn tails, corrupt lines and concurrent
+appends.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
 
+from repro.common.recordlog import encode_record
 from repro.harness.parallel import (
     ResultCache,
     SimJob,
@@ -30,7 +30,7 @@ def _record(index):
 
 
 def _write_lines(path, records, tail_fragment=""):
-    body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    body = "".join(encode_record(r) for r in records)
     path.write_text(body + tail_fragment, encoding="utf-8")
 
 
@@ -53,7 +53,7 @@ class TestTornTail:
     def test_unterminated_line_left_for_next_poll(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         records = [_record(0), _record(1)]
-        torn = json.dumps(_record(2), sort_keys=True)[:-7]  # mid-append
+        torn = encode_record(_record(2))[:-7]  # mid-append
         _write_lines(path, records, tail_fragment=torn)
 
         tail = JournalTail(path)
@@ -66,16 +66,20 @@ class TestTornTail:
         assert tail.poll() == [_record(2)]
         assert tail.completed() == 3
 
-    def test_terminated_garbage_stops_consumption(self, tmp_path):
+    def test_terminated_garbage_is_quarantined_and_skipped(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(_record(0), sort_keys=True) + "\n")
+            handle.write(encode_record(_record(0)))
             handle.write("{torn-but-terminated\n")
-            handle.write(json.dumps(_record(1), sort_keys=True) + "\n")
+            handle.write(encode_record(_record(1)))
         tail = JournalTail(path)
-        # Only the clean prefix: the reader never guesses past damage.
-        assert tail.poll() == [_record(0)]
+        # The writer emits the newline last, so a terminated line that
+        # fails verification is damage, not an append in flight: it is
+        # skipped (and counted), exactly as journal replay skips it.
+        assert tail.poll() == [_record(0), _record(1)]
+        assert tail.quarantined == 1
         assert tail.poll() == []
+        assert tail.records == SweepJournal.load(path)
 
 
 class TestConcurrentAppend:
@@ -86,7 +90,7 @@ class TestConcurrentAppend:
         observed = []
 
         def writer():
-            journal = SweepJournal(path, fsync_interval=7)
+            journal = SweepJournal(path)
             for index in range(total):
                 journal.append(_record(index))
             journal.close()
@@ -112,6 +116,9 @@ class TestConcurrentAppend:
 
 
 class TestFlushBoundaries:
+    # REPRO_JOURNAL_FLUSH no longer exists: every append is fsynced. A
+    # stale value left in the environment must not change what a tail
+    # sees, so the former batching settings are kept as parameters.
     @pytest.mark.parametrize("flush", ["1", "5", "1000"])
     def test_sweep_journal_streams_under_any_fsync_batching(
         self, tmp_path, monkeypatch, flush
@@ -133,13 +140,11 @@ class TestFlushBoundaries:
         assert events[-1] == "sweep_complete"
         assert tail.progress() == {"completed": 6, "total": 6, "done": True}
 
-        # A second tail from scratch replays the identical sequence:
-        # the journal itself is complete regardless of fsync batching.
+        # A second tail from scratch replays the identical sequence.
         replay = JournalTail(path)
         assert replay.poll() == tail.records
 
     def test_mid_sweep_polls_grow_monotonically(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOURNAL_FLUSH", "3")
         cache = ResultCache(tmp_path)
         jobs = _jobs(8)
         path = cache.root / "journals" / f"{sweep_id(jobs)}.jsonl"
@@ -158,8 +163,8 @@ class TestFlushBoundaries:
         run_jobs(jobs, workers=1, cache=cache)
 
         # Polled after every append: lengths never decrease and records
-        # arrive in journal order (flushed per append even when fsync is
-        # batched, so a live reader is at most one append behind).
+        # arrive in journal order (each append is flushed and fsynced
+        # before it returns, so a live reader is never behind).
         assert lengths == sorted(lengths)
         assert tail.records == SweepJournal.load(path)
         assert tail.completed() == 8 and tail.done()

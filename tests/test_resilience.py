@@ -408,6 +408,41 @@ class TestSweepJournal:
         assert final["cached"] == 2 and final["fresh"] == 2
 
 
+    def test_corrupt_middle_record_does_not_hide_later_cells(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        policy = _fast_policy(chaos=ChaosPolicy(seed=1, abort_after=3))
+        with pytest.raises(KeyboardInterrupt):
+            run_jobs(DOUBLES, workers=2, cache=cache, policy=policy)
+        path = tmp_path / "journals" / f"{sweep_id(DOUBLES)}.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        done = [i for i, line in enumerate(lines) if '"job_done"' in line]
+        assert len(done) == 3
+        # Bit rot in the first job_done: its digest no longer verifies.
+        lines[done[0]] = lines[done[0]].replace('"job_done"', '"job_dona"')
+        path.write_text("".join(lines), encoding="utf-8")
+
+        records = SweepJournal.load(path)
+        assert [r["event"] for r in records] == ["sweep_start", "job_done", "job_done"]
+        assert "job_dona" in path.with_suffix(".quarantine").read_text()
+
+        # The two records after the damage still mark the sweep as an
+        # interrupted one, so the rerun counts its cached cells resumed.
+        assert run_jobs(DOUBLES, workers=2, cache=ResultCache(tmp_path)) == [0, 2, 4, 6]
+        stats = last_run_stats()
+        assert stats.cached == 3 and stats.fresh == 1
+        assert stats.resumed_cells == 3
+
+    def test_unframed_journal_is_quarantined_and_cells_reused(self, tmp_path):
+        run_jobs(DOUBLES, workers=1, cache=ResultCache(tmp_path))
+        path = tmp_path / "journals" / f"{sweep_id(DOUBLES)}.jsonl"
+        # Bare JSON lines, the journal format before records were framed.
+        bare = [{"event": "sweep_start", "jobs": 4}, {"event": "job_done", "key": "aa"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in bare))
+        assert SweepJournal.load(path) == []
+        assert path.with_suffix(".quarantine").exists()
+        assert run_jobs(DOUBLES, workers=1, cache=ResultCache(tmp_path)) == [0, 2, 4, 6]
+        assert last_run_stats().cached == 4
+
 # -- chaos policy parsing -----------------------------------------------------
 
 

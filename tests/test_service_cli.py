@@ -10,10 +10,11 @@ line carries the typed reason and a retry hint.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
+
+from repro.harness.parallel import SweepJournal
 
 SCALE_ARGS = ["--scale", "0.25", "--workloads", "povray,xz"]
 
@@ -117,15 +118,18 @@ def _report(stdout):
 def _duplicate_journal_keys(cache_root):
     """job_done keys logged more than once across all sweep journals."""
     duplicates = []
+    completions = 0
     for journal in cache_root.rglob("journals/*.jsonl"):
         seen = set()
-        for line in journal.read_text().splitlines():
-            entry = json.loads(line)
-            if entry.get("event") != "job_done":
+        for entry in SweepJournal.load(journal):
+            if entry["event"] != "job_done":
                 continue
+            completions += 1
             if entry["key"] in seen:
                 duplicates.append((journal.name, entry["key"]))
             seen.add(entry["key"])
+    # No journal records at all would make "no duplicates" vacuous.
+    assert completions > 0, f"no job_done records under {cache_root}"
     return duplicates
 
 

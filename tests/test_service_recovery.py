@@ -25,6 +25,7 @@ from repro.common.errors import (
     RecoveredSubmissionError,
     SubmissionCancelled,
 )
+from repro.common.recordlog import encode_record
 from repro.harness.parallel import (
     ResultCache,
     SimJob,
@@ -38,7 +39,6 @@ from repro.service import (
     ServiceConfig,
     tenant_cache_root,
 )
-from repro.service.wal import encode_record
 
 
 def _double(params):

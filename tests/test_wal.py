@@ -1,10 +1,12 @@
-"""The service write-ahead state log: encode/decode, replay, damage.
+"""The shared record log: encode/decode, replay, damage, both writers.
 
 Two layers:
 
-* Unit tests pin the failure discipline — torn tails dropped, corrupt
-  records quarantined *and skipped*, disk faults degrading instead of
-  raising, compaction atomicity.
+* Unit tests pin the failure discipline of :mod:`repro.common.recordlog`
+  — torn tails dropped, corrupt records quarantined *and skipped*, disk
+  faults degrading instead of raising, compaction atomicity. The writer
+  tests run once per log that is built on it: the service's
+  :class:`StateLog` and the fabric's :class:`SweepJournal`.
 * Derandomized hypothesis properties (same idiom as
   ``test_property_roundtrips.py``) prove the two invariants recovery is
   built on: encode→decode is the identity for any JSON-able record, and
@@ -16,19 +18,20 @@ Two layers:
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.wal import (
+from repro.common.recordlog import (
     ReplayResult,
-    StateLog,
     decode_record,
     encode_record,
     replay_bytes,
-    wal_flush_interval,
 )
+from repro.harness.parallel import SweepJournal
+from repro.service.wal import StateLog
 
 DERANDOMIZED = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -63,6 +66,24 @@ class TestEncodeDecode:
         assert line.endswith("\n")
         envelope = json.loads(line)
         assert set(envelope) == {"rec", "sha"}
+
+    def test_log_written_before_the_shared_record_log_still_replays(self):
+        # Two lines exactly as the service WAL wrote them before the
+        # sweep journal and the WAL shared one record log: the byte
+        # format is a compatibility contract for state dirs on disk.
+        legacy = (
+            b'{"rec":{"tenant":"alice","ticket":"s-0001","type":"accept","v":1},'
+            b'"sha":"7148d7204093e670"}\n'
+            b'{"rec":{"ok":true,"ticket":"s-0001","type":"finish","v":1},'
+            b'"sha":"9dfd8ec7f14c62f6"}\n'
+        )
+        records = [
+            {"tenant": "alice", "ticket": "s-0001", "type": "accept"},
+            {"ok": True, "ticket": "s-0001", "type": "finish"},
+        ]
+        result = replay_bytes(legacy)
+        assert result.records == records and result.clean
+        assert "".join(encode_record(r) for r in records).encode() == legacy
 
     @pytest.mark.parametrize(
         "bad",
@@ -134,12 +155,14 @@ class TestReplay:
 
 
 class TestStateLogWrites:
+    log_class = StateLog
+
     def test_append_then_replay(self, tmp_path):
-        log = StateLog(tmp_path / "service.wal")
+        log = self.log_class(tmp_path / "service.wal")
         assert log.append({"type": "accept", "ticket": "s-0001"})
         assert log.append({"type": "finish", "ticket": "s-0001"})
         log.close()
-        replayed = StateLog(tmp_path / "service.wal").replay()
+        replayed = self.log_class(tmp_path / "service.wal").replay()
         assert [r["type"] for r in replayed.records] == ["accept", "finish"]
         assert log.records_written == 2 and log.write_errors == 0
 
@@ -148,7 +171,7 @@ class TestStateLogWrites:
         # cheapest deterministic stand-in for ENOSPC/EIO.
         blocker = tmp_path / "blocked"
         blocker.write_text("in the way")
-        log = StateLog(blocker / "service.wal")
+        log = self.log_class(blocker / "service.wal")
         with caplog.at_level("WARNING"):
             assert not log.append({"type": "accept"})
             assert not log.append({"type": "accept"})
@@ -160,16 +183,15 @@ class TestStateLogWrites:
     def test_degraded_log_never_raises(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("x")
-        log = StateLog(blocker / "service.wal")
+        log = self.log_class(blocker / "service.wal")
         log.append({"a": 1})
-        log.sync()
         log.close()
         log.compact([{"a": 1}])
         assert log.replay().records == []
 
     def test_compact_rewrites_atomically(self, tmp_path):
         path = tmp_path / "service.wal"
-        log = StateLog(path)
+        log = self.log_class(path)
         for n in range(10):
             log.append({"type": "accept", "n": n})
         log.close()
@@ -179,22 +201,26 @@ class TestStateLogWrites:
         assert result.clean
         assert not list(tmp_path.glob(".*tmp"))
 
-    def test_fsync_interval_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WAL_FLUSH", raising=False)
-        assert wal_flush_interval() == 1
-        monkeypatch.setenv("REPRO_WAL_FLUSH", "8")
-        assert wal_flush_interval() == 8
-        monkeypatch.setenv("REPRO_WAL_FLUSH", "0")
-        assert wal_flush_interval() == 1
-        monkeypatch.setenv("REPRO_WAL_FLUSH", "nope")
-        assert wal_flush_interval() == 1
-
-    def test_batched_fsync_still_writes_every_record(self, tmp_path):
-        log = StateLog(tmp_path / "service.wal", fsync_interval=4)
+    def test_every_append_is_fsynced(self, tmp_path, monkeypatch):
+        # Logged before acknowledged: each append reaches the disk
+        # before it returns, one fsync per record.
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
+        )
+        log = self.log_class(tmp_path / "service.wal")
         for n in range(10):
             assert log.append({"n": n})
+            assert len(synced) == n + 1
         log.close()
         assert len(log.replay().records) == 10
+
+
+class TestSweepJournalWrites(TestStateLogWrites):
+    """The same writer contract, for the fabric's sweep journal."""
+
+    log_class = SweepJournal
 
 
 class TestProperties:
