@@ -34,8 +34,9 @@ def batch_size(default: int = DEFAULT_BATCH_SIZE) -> int:
     (:mod:`repro.cpu.batch_core`); ``0`` or ``1`` selects the scalar
     reference loop (also forced when numpy is unavailable). The two paths
     are bit-identical — the knob exists for differential testing
-    (``--batch-size`` on the CLI, the CI ``batch-equivalence-smoke``
-    job) and for bisecting, not for tuning results. Unset or invalid
+    (``--batch-size`` on the CLI, the scalar points of
+    ``ci/equivalence_matrix.py``) and for bisecting, not for tuning
+    results. Unset or invalid
     values fall back to ``default``.
     """
     raw = os.environ.get("REPRO_BATCH")
@@ -55,8 +56,9 @@ def boot_snapshot_enabled() -> bool:
     a deep copy of a memoized fully-booted machine instead of re-booting
     (:mod:`repro.harness.snapshot`), which is what makes cold campaign
     sweeps cheap. ``0``/``false``/``off``/``no`` force every cell to
-    boot from scratch — the reference behaviour the CI
-    ``snapshot-equivalence-smoke`` job byte-compares against. Runs under
+    boot from scratch — the cold-boot points of
+    ``ci/equivalence_matrix.py`` must print the same golden reports as
+    the snapshot points. Runs under
     ``--validate`` bypass snapshots regardless of this setting.
     """
     raw = os.environ.get("REPRO_BOOT_SNAPSHOT", "").strip().lower()

@@ -175,9 +175,9 @@ class LatencyRecorder:
 
     Collects float samples (seconds) and answers nearest-rank
     percentiles; used by the fabric service for queue-wait / shed / run
-    latencies and by ``BENCH_service.json``. Not a histogram: sample
-    counts here are small (one per submission), so keeping the raw
-    values and sorting on demand is both exact and cheap.
+    latencies. Not a histogram: sample counts here are small (one per
+    submission), so keeping the raw values and sorting on demand is
+    both exact and cheap.
     """
 
     __slots__ = ("name", "_samples", "_sorted")

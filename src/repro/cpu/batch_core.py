@@ -20,8 +20,8 @@ scalar side effects exactly (counters, LRU ``move_to_end`` order, cycle
 accounting, ``hierarchy.cycle`` visibility to the memory controller), a
 batched run is bit-identical to a scalar run: same ``CoreResult``, same
 stat counters, same DRAM traffic, same PT-Guard outcomes — the
-equivalence is asserted by ``tests/test_batch_equivalence.py`` and the CI
-``batch-equivalence-smoke`` job.
+equivalence is asserted by ``tests/test_batch_equivalence.py`` and the
+scalar points of ``ci/equivalence_matrix.py``.
 
 Counter updates for the inline paths are accumulated in locals and
 flushed into the real stat dicts at batch end (and on the exception

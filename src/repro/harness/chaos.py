@@ -2,10 +2,10 @@
 
 The resilience layer in :mod:`repro.harness.parallel` claims that worker
 kills, hung jobs and on-disk cache corruption cost recomputation, never
-correctness. This module is how tests (and the CI chaos smoke job)
-*prove* that end-to-end: a :class:`ChaosPolicy` injects exactly those
-faults, and the sweep's report must still come out byte-identical to a
-fault-free run.
+correctness. This module is how tests (and the equivalence matrix's
+resumed points) *prove* that end-to-end: a :class:`ChaosPolicy`
+injects exactly those faults, and the sweep's report must still come
+out byte-identical to a fault-free run.
 
 Every injection decision is a pure function of ``(seed, channel, job
 key)``: a SHA-256 over those strings maps to a fraction in [0, 1) that

@@ -382,6 +382,18 @@ register_job_kind(
 # -- result cache -------------------------------------------------------------
 
 
+def _env_int(name: str, default: int) -> int:
+    """Integer environment knob; unset or empty gives ``default``, and
+    an unparsable value warns and gives ``default`` too."""
+    env = os.environ.get(name)
+    if env:
+        try:
+            return int(env)
+        except ValueError:
+            logger.warning("ignoring unparsable %s=%r", name, env)
+    return default
+
+
 def default_cache_dir() -> pathlib.Path:
     """``REPRO_CACHE_DIR`` or ``~/.cache/ptguard-repro``."""
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -429,9 +441,7 @@ class ResultCache:
     ):
         self.root = pathlib.Path(root) if root is not None else default_cache_dir()
         if quarantine_limit is None:
-            quarantine_limit = int(
-                os.environ.get("REPRO_QUARANTINE_LIMIT", "64") or "64"
-            )
+            quarantine_limit = _env_int("REPRO_QUARANTINE_LIMIT", 64)
         self.quarantine_limit = quarantine_limit
         self.quarantine_evictions = 0
         self.hits = 0
@@ -679,12 +689,7 @@ class ExecutionPolicy:
                 policy.timeout_s = max(0.001, float(timeout))
             except ValueError:
                 logger.warning("ignoring unparsable REPRO_TIMEOUT=%r", timeout)
-        retries = os.environ.get("REPRO_RETRIES")
-        if retries:
-            try:
-                policy.retries = max(0, int(retries))
-            except ValueError:
-                logger.warning("ignoring unparsable REPRO_RETRIES=%r", retries)
+        policy.retries = max(0, _env_int("REPRO_RETRIES", policy.retries))
         spec = os.environ.get("REPRO_CHAOS")
         if spec:
             from repro.harness.chaos import ChaosPolicy
@@ -783,35 +788,7 @@ def last_run_stats() -> FabricStats:
 
 def default_workers() -> int:
     """``REPRO_WORKERS`` or the machine's CPU count."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def job_batch_size() -> int:
-    """``REPRO_JOB_BATCH``: cells dispatched per worker task (default 1).
-
-    Each pool task round-trips a queue message, a pickle of the job(s)
-    and a supervisor wake-up; for sweeps of many short cells that
-    dispatch overhead dominates. Batching N cells per task amortises it
-    N-fold: results come back as one pickled bulk list and are completed
-    (cached, journaled) individually, so ordering, write-through,
-    resume and report bytes are identical to unbatched dispatch — the
-    per-job deadline is simply enforced at chunk granularity
-    (``timeout_s x chunk length``). 1 preserves the historical
-    one-task-per-cell behaviour.
-    """
-    env = os.environ.get("REPRO_JOB_BATCH")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring unparsable REPRO_JOB_BATCH=%r", env)
-    return 1
+    return max(1, _env_int("REPRO_WORKERS", os.cpu_count() or 1))
 
 
 START_METHOD_PREFERENCE = ("fork", "forkserver", "spawn")
@@ -853,13 +830,11 @@ def _format_job_failure(
 
 
 def _worker_main(worker_id: int, task_queue, result_queue, chaos) -> None:
-    """Pool worker loop: run assigned job chunks, never raise across the
-    pipe. A task is ``(chunk_id, [(index, job), ...], attempt,
-    timeout_s)``; results return as one pickled bulk list per chunk.
-    Chaos injection (first attempt only, keyed on the chunk's first
-    job): ``kill`` exits hard with no result (simulated OOM-kill);
-    ``delay`` sleeps past the chunk's deadline so the supervisor's
-    timeout path fires.
+    """Pool worker loop: run assigned jobs, never raise across the pipe.
+    A task is ``(index, job, attempt, timeout_s)``. Chaos injection
+    (first attempt only): ``kill`` exits hard with no result (simulated
+    OOM-kill); ``delay`` sleeps past the job's deadline so the
+    supervisor's timeout path fires.
 
     A worker also exits once its supervisor dies (SIGKILL/OOM) and it is
     re-parented. A blocking ``get`` would wait forever instead: forked
@@ -875,30 +850,19 @@ def _worker_main(worker_id: int, task_queue, result_queue, chaos) -> None:
             continue
         if item is None:
             return
-        chunk_id, pairs, attempt, timeout_s = item
+        index, job, attempt, timeout_s = item
         if chaos is not None and attempt == 0:
-            key = pairs[0][1].key()
+            key = job.key()
             if chaos.decide(key, "kill"):
                 os._exit(CHAOS_KILL_EXIT)
             if timeout_s is not None and chaos.decide(key, "delay"):
                 time.sleep(2.0 * timeout_s + 0.5)
-        payloads = []
-        failure = None
-        for _, job in pairs:
-            try:
-                payloads.append(execute_job(job))
-            except Exception:
-                failure = (
-                    job.kind,
-                    dict(job.params),
-                    job.label,
-                    traceback.format_exc(),
-                )
-                break
-        if failure is not None:
-            result_queue.put((worker_id, chunk_id, attempt, False, failure))
-        else:
-            result_queue.put((worker_id, chunk_id, attempt, True, payloads))
+        try:
+            ok, payload = True, execute_job(job)
+        except Exception:
+            failure = (job.kind, dict(job.params), job.label, traceback.format_exc())
+            ok, payload = False, failure
+        result_queue.put((worker_id, index, attempt, ok, payload))
 
 
 class _WorkerHandle:
@@ -916,23 +880,12 @@ class _WorkerHandle:
             daemon=True,
         )
         self.process.start()
-        self.current: Optional[
-            Tuple[int, List[Tuple[int, SimJob]], int, Optional[float]]
-        ] = None
+        self.current: Optional[Tuple[int, SimJob, int, Optional[float]]] = None
 
-    def assign(
-        self,
-        chunk_id: int,
-        pairs: List[Tuple[int, SimJob]],
-        attempt: int,
-        timeout_s,
-    ) -> None:
-        # The per-job deadline scales with the chunk: N batched cells get
-        # N times the wall-clock budget of a single dispatch.
-        scaled = timeout_s * len(pairs) if timeout_s is not None else None
-        deadline = time.monotonic() + scaled if scaled is not None else None
-        self.current = (chunk_id, pairs, attempt, deadline)
-        self.task_queue.put((chunk_id, pairs, attempt, scaled))
+    def assign(self, index: int, job: SimJob, attempt: int, timeout_s) -> None:
+        deadline = time.monotonic() + timeout_s if timeout_s is not None else None
+        self.current = (index, job, attempt, deadline)
+        self.task_queue.put((index, job, attempt, timeout_s))
 
     def _discard_queue(self) -> None:
         self.task_queue.close()
@@ -996,13 +949,6 @@ def _run_missing_serial(
         complete(index, job, payload, 0)
 
 
-def _describe_chunk(pairs: Sequence[Tuple[int, SimJob]]) -> str:
-    head = pairs[0][1].describe()
-    if len(pairs) == 1:
-        return head
-    return f"{head} (+{len(pairs) - 1} batched)"
-
-
 def _run_missing_pooled(
     missing: Sequence[Tuple[int, SimJob]],
     pool_size: int,
@@ -1012,15 +958,11 @@ def _run_missing_pooled(
 ) -> None:
     """Supervised pool execution of ``missing`` (index, job) pairs.
 
-    Jobs are grouped into chunks of :func:`job_batch_size` cells; the
-    supervisor hands one chunk at a time to each worker over a private
-    queue and collects bulk results from a shared queue, so it can
+    The supervisor hands one job at a time to each worker over a
+    private queue and collects results from a shared queue, so it can
     enforce wall-clock deadlines (kill + respawn the worker, retry the
-    chunk), detect dead workers (crash / OOM / chaos kill) and apply
-    the transient-retry budget with exponential backoff. Retry,
-    timeout and crash recovery operate at chunk granularity — a chunk
-    is the unit of dispatch — while ``complete`` (caching, journaling)
-    still runs per job, so resume/cache semantics are unchanged.
+    job), detect dead workers (crash / OOM / chaos kill) and apply the
+    transient-retry budget with exponential backoff.
     Raises the appropriate :class:`SimJobError` subtype on permanent
     failure and :class:`_PoolBroken` once worker restarts exceed their
     budget.
@@ -1029,43 +971,37 @@ def _run_missing_pooled(
     chaos = policy.chaos
     result_queue = context.Queue()
 
-    batch = job_batch_size()
-    chunks: List[List[Tuple[int, SimJob]]] = [
-        list(missing[offset : offset + batch])
-        for offset in range(0, len(missing), batch)
-    ]
-    chunk_of: Dict[int, List[Tuple[int, SimJob]]] = dict(enumerate(chunks))
-    pool_size = min(pool_size, len(chunks))
+    job_of: Dict[int, SimJob] = dict(missing)
+    pool_size = min(pool_size, len(job_of))
     max_restarts = (
         policy.max_worker_restarts
         if policy.max_worker_restarts is not None
         else 3 * pool_size
     )
 
-    pending: deque = deque((chunk_id, 0) for chunk_id in chunk_of)
-    delayed: List[Tuple[float, int, int]] = []  # (ready_at, chunk_id, attempt)
-    outstanding = set(chunk_of)
-    attempts_of: Dict[int, int] = {chunk_id: 0 for chunk_id in chunk_of}
+    pending: deque = deque((index, 0) for index in job_of)
+    delayed: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
+    outstanding = set(job_of)
+    attempts_of: Dict[int, int] = {index: 0 for index in job_of}
     completions = 0
     restarts = 0
     workers: List[_WorkerHandle] = []
 
     def remaining_jobs() -> List[Tuple[int, SimJob]]:
-        left = [pair for chunk_id in outstanding for pair in chunk_of[chunk_id]]
-        return sorted(left)
+        return sorted((index, job_of[index]) for index in outstanding)
 
-    def handle_transient(chunk_id: int, attempt: int, failure: SimJobError) -> None:
+    def handle_transient(index: int, attempt: int, failure: SimJobError) -> None:
         if attempt >= policy.retries:
             raise RetryBudgetExceededError(
-                f"job {_describe_chunk(chunk_of[chunk_id])} failed "
+                f"job {job_of[index].describe()} failed "
                 f"{attempt + 1} attempt(s); retry budget ({policy.retries}) "
                 "exhausted"
             ) from failure
         stats.retries += 1
         next_attempt = attempt + 1
-        attempts_of[chunk_id] = next_attempt
+        attempts_of[index] = next_attempt
         backoff = min(policy.backoff_cap_s, policy.backoff_base_s * (2**attempt))
-        delayed.append((time.monotonic() + backoff, chunk_id, next_attempt))
+        delayed.append((time.monotonic() + backoff, index, next_attempt))
         logger.warning(
             "%s -- retrying in %.2gs (attempt %d of %d)",
             failure,
@@ -1087,19 +1023,17 @@ def _run_missing_pooled(
                 ready = [item for item in delayed if item[0] <= now]
                 if ready:
                     delayed[:] = [item for item in delayed if item[0] > now]
-                    for _, chunk_id, attempt in sorted(
+                    for _, index, attempt in sorted(
                         ready, key=lambda item: item[1]
                     ):
-                        pending.append((chunk_id, attempt))
+                        pending.append((index, attempt))
             for worker in workers:
                 if worker.current is None and pending:
-                    chunk_id, attempt = pending.popleft()
-                    worker.assign(
-                        chunk_id, chunk_of[chunk_id], attempt, policy.timeout_s
-                    )
+                    index, attempt = pending.popleft()
+                    worker.assign(index, job_of[index], attempt, policy.timeout_s)
 
             try:
-                worker_id, chunk_id, attempt, ok, payload = result_queue.get(
+                worker_id, index, attempt, ok, payload = result_queue.get(
                     timeout=_POLL_INTERVAL_S
                 )
             except queue_module.Empty:
@@ -1108,24 +1042,23 @@ def _run_missing_pooled(
                 worker = workers[worker_id]
                 if (
                     worker.current is not None
-                    and worker.current[0] == chunk_id
+                    and worker.current[0] == index
                     and worker.current[2] == attempt
                 ):
                     worker.current = None
-                if chunk_id in outstanding and attempt == attempts_of[chunk_id]:
+                if index in outstanding and attempt == attempts_of[index]:
                     if ok:
-                        outstanding.discard(chunk_id)
-                        for (index, job), item in zip(chunk_of[chunk_id], payload):
-                            completions += 1
-                            complete(index, job, item, attempt)
-                            if (
-                                chaos is not None
-                                and chaos.abort_after is not None
-                                and completions >= chaos.abort_after
-                            ):
-                                raise KeyboardInterrupt(
-                                    f"chaos: abort after {completions} completions"
-                                )
+                        outstanding.discard(index)
+                        completions += 1
+                        complete(index, job_of[index], payload, attempt)
+                        if (
+                            chaos is not None
+                            and chaos.abort_after is not None
+                            and completions >= chaos.abort_after
+                        ):
+                            raise KeyboardInterrupt(
+                                f"chaos: abort after {completions} completions"
+                            )
                     else:
                         kind, params, label, trace = payload
                         raise JobExecutionError(
@@ -1136,7 +1069,7 @@ def _run_missing_pooled(
             for slot, worker in enumerate(workers):
                 current = worker.current
                 if current is not None:
-                    chunk_id, pairs, attempt, deadline = current
+                    index, job, attempt, deadline = current
                     if deadline is not None and now > deadline:
                         stats.timeouts += 1
                         worker.kill()
@@ -1144,16 +1077,13 @@ def _run_missing_pooled(
                         workers[slot] = _WorkerHandle(
                             context, slot, result_queue, chaos
                         )
-                        if (
-                            chunk_id in outstanding
-                            and attempt == attempts_of[chunk_id]
-                        ):
+                        if index in outstanding and attempt == attempts_of[index]:
                             handle_transient(
-                                chunk_id,
+                                index,
                                 attempt,
                                 JobTimeoutError(
-                                    f"job {_describe_chunk(pairs)} exceeded its "
-                                    f"{policy.timeout_s * len(pairs):.3g}s "
+                                    f"job {job.describe()} exceeded its "
+                                    f"{policy.timeout_s:.3g}s "
                                     f"wall-clock deadline "
                                     f"(attempt {attempt + 1}); worker killed"
                                 ),
@@ -1165,18 +1095,15 @@ def _run_missing_pooled(
                     restarts += 1
                     workers[slot] = _WorkerHandle(context, slot, result_queue, chaos)
                     if current is not None:
-                        chunk_id, pairs, attempt, _ = current
-                        if (
-                            chunk_id in outstanding
-                            and attempt == attempts_of[chunk_id]
-                        ):
+                        index, job, attempt, _ = current
+                        if index in outstanding and attempt == attempts_of[index]:
                             stats.crashes += 1
                             handle_transient(
-                                chunk_id,
+                                index,
                                 attempt,
                                 WorkerCrashError(
                                     f"worker died (exit code {exitcode}) while "
-                                    f"running job {_describe_chunk(pairs)} "
+                                    f"running job {job.describe()} "
                                     f"(attempt {attempt + 1})"
                                 ),
                             )
@@ -1261,9 +1188,9 @@ class ProcessPoolBackend(ExecutorBackend):
     """The supervised multiprocessing pool (the historical parallel path).
 
     Real process isolation: per-cell wall-clock deadlines enforced by
-    killing hung workers, crash detection by exit code, chunked dispatch
-    (``REPRO_JOB_BATCH``) and the pinned start-method chain. The one
-    backend that survives a genuinely hung or memory-exploding job.
+    killing hung workers, crash detection by exit code and the pinned
+    start-method chain. The one backend that survives a genuinely hung
+    or memory-exploding job.
     """
 
     name = "process-pool"

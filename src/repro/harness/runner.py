@@ -159,8 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the full cProfile dump (pstats format) to FILE when "
         "the run finishes; implies profiling. Load it with "
-        "'python -m pstats FILE' or snakeviz; CI uploads it as an "
-        "artifact",
+        "'python -m pstats FILE' or snakeviz",
     )
     parser.add_argument(
         "--serve",

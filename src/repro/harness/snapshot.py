@@ -28,8 +28,8 @@ Restores hand out a private ``copy.deepcopy`` of the memoized payload,
 never the payload itself, so a cell can mutate its machine freely.
 Whether a payload was freshly booted, memo-restored or disk-restored is
 invisible to the cell — the equivalence is asserted by
-``tests/test_boot_snapshot.py`` and byte-diffed end-to-end by the CI
-``snapshot-equivalence-smoke`` job against ``REPRO_BOOT_SNAPSHOT=0``.
+``tests/test_boot_snapshot.py`` and checked end to end by the
+``REPRO_BOOT_SNAPSHOT=0`` points of ``ci/equivalence_matrix.py``.
 
 Storage
 -------

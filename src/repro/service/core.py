@@ -919,7 +919,7 @@ class FabricService:
             )
 
     def health(self) -> Dict[str, Any]:
-        """Liveness + load snapshot for operators and the smoke job.
+        """Liveness + load snapshot for operators and monitoring.
 
         ``breakers`` covers every registered backend keyed by name — a
         backend that never ran reports a pristine closed breaker, so a

@@ -275,10 +275,13 @@ class TestBatchedCore:
     def test_walk_heavy_profile_matches_scalar(self):
         # The synthetic TLB-thrashing profile drives the inline-walk path
         # hard (nearly every access walks); scalar equivalence here is
-        # the correctness side of the BENCH_hotpath walk-heavy speedup.
-        scalar = _core_snapshot(1, "blake2", "walkheavy", 400, 0)
-        batched = _core_snapshot(4096, "blake2", "walkheavy", 400, 0)
-        assert batched == scalar
+        # the correctness side of the batched walk path's speedup. Under
+        # qarma every walked PTE line also goes through the bulk-tag
+        # priming.
+        for mac in ("blake2", "qarma"):
+            scalar = _core_snapshot(1, mac, "walkheavy", 400, 0)
+            batched = _core_snapshot(4096, mac, "walkheavy", 400, 0)
+            assert batched == scalar, mac
 
 
 # -- sampled batched-vs-scalar differential oracle ----------------------------

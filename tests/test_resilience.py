@@ -211,14 +211,20 @@ class TestRegistryAndEnv:
         # the worker-side frame (the job function itself) is visible
         assert "_explode" in str(excinfo.value)
 
-    def test_default_workers_parsing_fallbacks(self, monkeypatch):
+    def test_default_workers_parsing_fallbacks(self, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_WORKERS", "7")
         assert default_workers() == 7
         monkeypatch.setenv("REPRO_WORKERS", "-3")
         assert default_workers() == 1
-        monkeypatch.setenv("REPRO_WORKERS", "nope")
         monkeypatch.setattr("os.cpu_count", lambda: 5)
-        assert default_workers() == 5
+        for garbage in ("nope", "two"):
+            monkeypatch.setenv("REPRO_WORKERS", garbage)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="repro.harness.parallel"):
+                assert default_workers() == 5
+            assert [r.getMessage() for r in caplog.records] == [
+                f"ignoring unparsable REPRO_WORKERS={garbage!r}"
+            ]
         monkeypatch.setenv("REPRO_WORKERS", "")
         assert default_workers() == 5
 
@@ -350,8 +356,17 @@ class TestQuarantineCap:
         assert len(list(cache.quarantine_dir.glob("*.json"))) == 6
         assert cache.quarantine_evictions == 0
 
-    def test_default_cap_is_64(self, tmp_path):
+    def test_default_cap_is_64(self, tmp_path, monkeypatch, caplog):
         assert ResultCache(tmp_path).quarantine_limit == 64
+        # An unparsable override warns and keeps the default.
+        for garbage in ("lots", "1.5"):
+            monkeypatch.setenv("REPRO_QUARANTINE_LIMIT", garbage)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="repro.harness.parallel"):
+                assert ResultCache(tmp_path).quarantine_limit == 64
+            assert [r.getMessage() for r in caplog.records] == [
+                f"ignoring unparsable REPRO_QUARANTINE_LIMIT={garbage!r}"
+            ]
 
 
 # -- journal / resume ---------------------------------------------------------

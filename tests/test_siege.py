@@ -92,7 +92,7 @@ class TestSiegeSweep:
         assert "policy=full" in report
         assert "zero-silent-corruption guarantee holds" in report
         assert "survived" in report and "avail" in report and "p95" in report
-        # Byte-identical across runs (the CI siege-smoke contract).
+        # Byte-identical across runs.
         again = format_siege_report(
             run_siege(windows=WINDOWS, seed=SEED, workers=1)
         )
