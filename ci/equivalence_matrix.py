@@ -12,7 +12,7 @@ The path axes (``AXES``):
 
 * core -- ``scalar`` (``REPRO_BATCH=1``) or ``batched`` (the default);
 * boot -- ``snapshot`` (the default) or ``cold`` (``REPRO_BOOT_SNAPSHOT=0``);
-* backend -- ``inprocess``, ``process-pool`` or ``threaded``;
+* backend -- ``inprocess`` or ``process-pool``;
 * cache -- ``cold`` (``--no-cache``), ``warm`` (run, then rerun against
   the filled cache), ``resumed`` (``--chaos abort_after`` exits 130,
   then ``--resume``) or ``recovered`` (``--serve`` under
@@ -60,7 +60,7 @@ FRONTIER = "frontier --scale 0.25 --validate"
 AXES: Dict[str, Tuple[str, ...]] = {
     "core": ("scalar", "batched"),
     "boot": ("snapshot", "cold"),
-    "backend": ("inprocess", "process-pool", "threaded"),
+    "backend": ("inprocess", "process-pool"),
     "cache": ("cold", "warm", "resumed", "recovered"),
 }
 
@@ -91,16 +91,14 @@ class Point:
 POINTS: Tuple[Point, ...] = (
     Point(FIG6, "batched", "cold", "inprocess", "cold"),
     Point(FIG6, "scalar", "snapshot", "process-pool", "cold"),
-    Point(FIG6, "batched", "snapshot", "threaded", "cold"),
     Point(WALK, "scalar", "cold", "inprocess", "warm"),
     Point(WALK, "batched", "cold", "process-pool", "warm"),
-    Point(FRONTIER, "scalar", "snapshot", "threaded", "warm"),
+    Point(FRONTIER, "scalar", "snapshot", "inprocess", "warm"),
     Point(SERVED, "batched", "cold", "inprocess", "resumed"),
     Point(CAMPAIGN, "scalar", "cold", "process-pool", "resumed"),
-    Point(SIEGE, "batched", "snapshot", "threaded", "resumed"),
+    Point(SIEGE, "batched", "snapshot", "inprocess", "resumed"),
     Point(SERVED, "batched", "snapshot", "inprocess", "recovered"),
     Point(SERVED, "scalar", "cold", "process-pool", "recovered"),
-    Point(SERVED, "scalar", "cold", "threaded", "recovered"),
     Point(CAMPAIGN, "batched", "snapshot", "inprocess", "cold"),
     Point(SIEGE, "scalar", "cold", "process-pool", "warm"),
     Point(FRONTIER, "batched", "cold", "process-pool", "cold"),

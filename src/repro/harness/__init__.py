@@ -4,18 +4,13 @@ from repro.harness.chaos import ChaosPolicy
 from repro.harness.parallel import (
     BACKENDS,
     ExecutionPolicy,
-    ExecutorBackend,
     FabricStats,
-    InProcessBackend,
-    ProcessPoolBackend,
     ResultCache,
     SimJob,
     SimJobError,
     SweepJournal,
-    ThreadedLocalBackend,
     default_workers,
     execution_policy,
-    get_backend,
     last_run_stats,
     run_jobs,
     set_execution_policy,
@@ -28,18 +23,13 @@ __all__ = [
     "BACKENDS",
     "ChaosPolicy",
     "ExecutionPolicy",
-    "ExecutorBackend",
     "FabricStats",
-    "InProcessBackend",
-    "ProcessPoolBackend",
     "ResultCache",
     "SimJob",
     "SimJobError",
     "SweepJournal",
-    "ThreadedLocalBackend",
     "default_workers",
     "execution_policy",
-    "get_backend",
     "last_run_stats",
     "run_jobs",
     "set_execution_policy",

@@ -21,18 +21,14 @@ guarantees in ``tests/test_chaos.py``.
 
 Channels:
 
-* ``kill`` — the worker calls ``os._exit(137)`` before running the job
-  (first attempt only), simulating a SIGKILL/OOM-killed worker. On the
-  threaded backend — where a carrier cannot be SIGKILLed — the same
-  verdict raises :class:`WorkerCrashError` directly
-  (:func:`simulated_thread_fault`), so the retry/backoff path is
-  exercised identically; on the in-process backend there is no carrier
-  at all and the channel does not apply.
-* ``delay`` — the worker sleeps past the job's wall-clock deadline
+* ``kill`` — the pool worker calls ``os._exit(137)`` before running
+  the job (first attempt only): a real SIGKILL/OOM-style carrier death
+  on the ``process-pool`` backend. The ``inprocess`` backend has no
+  carrier to kill, so the channel does not apply there.
+* ``delay`` — the pool worker sleeps past the job's wall-clock deadline
   (first attempt only), forcing the supervisor's hung-worker kill and
-  the timeout/retry path. Skipped when no deadline is set. The threaded
-  backend simulates the verdict as a raised :class:`JobTimeoutError`
-  instead of actually sleeping.
+  the timeout/retry path. Skipped when no deadline is set, and, like
+  ``kill``, not applied in-process.
 * ``corrupt`` — after the fresh result is written through to the cache,
   the entry file is garbled in place, forcing the read-side digest
   check to quarantine and recompute on the next lookup.
@@ -83,36 +79,6 @@ class ChaosPolicy:
         """Parse ``seed=3,kill=0.2,delay=0.1,corrupt=0.1,abort_after=5``
         (grammar: :func:`~repro.faults.inject.parse_policy_spec`)."""
         return parse_policy_spec(cls, spec, "chaos")
-
-
-def simulated_thread_fault(policy: ChaosPolicy, job, timeout_s):
-    """Kill/delay verdicts mapped onto a thread-carrier backend.
-
-    Threads cannot be SIGKILLed or preempted, so the threaded executor
-    backend asks this function (first attempt only, like the pool
-    worker) what *would* have happened and raises the answer: a kill
-    verdict becomes a :class:`WorkerCrashError` (as if the carrier
-    died), a delay verdict becomes a :class:`JobTimeoutError` (as if the
-    deadline fired — only when a deadline is actually set, mirroring the
-    pool's skip). Decisions draw from the same ``(seed, channel, job
-    key)`` digest as the process pool, so a chaos seed injects the same
-    fault pattern on every backend. Returns None when neither channel
-    fires.
-    """
-    from repro.common.errors import JobTimeoutError, WorkerCrashError
-
-    key = job.key()
-    if policy.decide(key, "kill"):
-        return WorkerCrashError(
-            f"worker thread chaos-killed (simulated) while running job "
-            f"{job.describe()} (attempt 1)"
-        )
-    if timeout_s is not None and policy.decide(key, "delay"):
-        return JobTimeoutError(
-            f"job {job.describe()} chaos-delayed past its {timeout_s:.3g}s "
-            "wall-clock deadline (simulated, attempt 1)"
-        )
-    return None
 
 
 def corrupt_cache_entry(cache, job) -> None:

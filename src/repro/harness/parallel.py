@@ -25,21 +25,18 @@ Pieces:
   degradation to in-process serial execution when the pool itself keeps
   failing. A job that raises anywhere surfaces as a
   :class:`SimJobError` carrying the worker traceback — never a hang.
-* :class:`ExecutorBackend` — *how* the missing cells actually execute,
-  behind one contract: :class:`InProcessBackend` (serial, the degraded
-  path), :class:`ProcessPoolBackend` (the supervised pool above) and
-  :class:`ThreadedLocalBackend` (a thread pool, built for embedding many
-  concurrent sweeps in one process — the fabric service). ``run_jobs``
-  picks one automatically from ``workers``, or callers name one
-  explicitly (``backend=``, ``ExecutionPolicy.backend``,
-  ``REPRO_BACKEND``). Reports are byte-identical across all three; the
+* :data:`BACKENDS` — *where* the missing cells execute, one name per
+  runner: ``inprocess`` (serial in the calling process, also the
+  degraded path) and ``process-pool`` (the supervised pool above).
+  ``run_jobs`` picks one automatically from ``workers``, or callers
+  name one explicitly (``backend=``, ``ExecutionPolicy.backend``,
+  ``REPRO_BACKEND``). Reports are byte-identical across both; the
   conformance suite (``tests/test_backend_conformance.py``) enforces it.
-
-Execution policy and per-run stats are **context-local**
-(:mod:`contextvars`), not process-global: concurrent sweeps — two
-service tenants on different dispatcher threads, a nested sweep inside a
-job — each see their own :class:`ExecutionPolicy` and
-:func:`last_run_stats`, never each other's.
+  Execution policy and per-run stats are **context-local**
+  (:mod:`contextvars`), not process-global: concurrent sweeps — two
+  service tenants on different dispatcher threads, a nested sweep
+  inside a job — each see their own :class:`ExecutionPolicy` and
+  :func:`last_run_stats`, never each other's.
 * :class:`ResultCache` — an on-disk, content-addressed store of encoded
   results keyed by :meth:`SimJob.key`. Any change to the config, the
   workload, the op counts, the seed or :data:`CACHE_SCHEMA_VERSION`
@@ -71,7 +68,6 @@ import multiprocessing
 import os
 import pathlib
 import queue as queue_module
-import threading
 import time
 import traceback
 from collections import deque
@@ -86,7 +82,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.common.errors import (
@@ -927,11 +922,16 @@ class _PoolBroken(Exception):
 
 def _run_missing_serial(
     missing: Sequence[Tuple[int, SimJob]],
+    pool_size: int,
+    policy: ExecutionPolicy,
+    stats: FabricStats,
     complete: Callable[[int, SimJob, Any, int], None],
 ) -> None:
     """In-process execution: permanent failures raise immediately.
 
-    There is no crash/timeout surface in-process (nothing to kill), so
+    The ``workers=1`` debug path and the one every degradation bottoms
+    out on. ``pool_size``, ``policy`` and ``stats`` are unused: there is
+    no crash/timeout surface in-process (nothing to kill), so the
     kill/delay chaos channels do not apply here — cache corruption
     still does, via ``complete``'s write-through path.
     """
@@ -958,7 +958,8 @@ def _run_missing_pooled(
 ) -> None:
     """Supervised pool execution of ``missing`` (index, job) pairs.
 
-    The supervisor hands one job at a time to each worker over a
+    Real process isolation: the one backend that survives a genuinely
+    hung or memory-exploding job. The supervisor hands one job at a time to each worker over a
     private queue and collects results from a shared queue, so it can
     enforce wall-clock deadlines (kill + respawn the worker, retry the
     job), detect dead workers (crash / OOM / chaos kill) and apply the
@@ -1123,273 +1124,19 @@ def _run_missing_pooled(
 
 # -- executor backends --------------------------------------------------------
 #
-# One contract, three carriers. ``run_jobs`` stays the only public
-# entry point; a backend only decides *where* the missing cells execute
-# (calling process, supervised process pool, thread pool), never what
-# they mean — caching, journaling, resume and report assembly are all
-# upstream of it, which is why reports are byte-identical across
-# backends (tests/test_backend_conformance.py).
+# A backend only decides *where* the missing cells execute (the calling
+# process or a supervised process pool), never what they mean: caching,
+# journaling, resume and report assembly are all upstream of it, which
+# is why reports are byte-identical across backends
+# (tests/test_backend_conformance.py). Each runner calls
+# ``complete(index, job, payload, attempt)`` exactly once per job and
+# raises the SimJobError taxonomy; a pool whose infrastructure collapses
+# raises _PoolBroken so run_jobs can degrade to the serial runner.
 
-
-class ExecutorBackend:
-    """How a list of missing ``(index, job)`` pairs actually executes.
-
-    Contract (enforced for every implementation by the conformance
-    suite):
-
-    * :meth:`run` executes every pair and calls
-      ``complete(index, job, encoded_payload, attempt)`` exactly once
-      per job, in any order. ``complete`` is not thread-safe — backends
-      with internal concurrency must serialize calls to it.
-    * Failures surface as the :class:`SimJobError` taxonomy: transient
-      faults (crash/timeout, including chaos-injected ones) are retried
-      under ``policy.retries`` with exponential backoff; permanent
-      faults raise immediately with the job traceback attached.
-    * A backend whose carrier infrastructure collapses raises
-      :class:`_PoolBroken` carrying the unfinished pairs, so
-      :func:`run_jobs` can degrade to :class:`InProcessBackend`.
-    """
-
-    name = "abstract"
-
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = workers
-
-    def run(
-        self,
-        missing: Sequence[Tuple[int, SimJob]],
-        policy: ExecutionPolicy,
-        stats: FabricStats,
-        complete: Callable[[int, SimJob, Any, int], None],
-    ) -> None:
-        raise NotImplementedError
-
-    def pool_size(self, missing_count: int) -> int:
-        return max(1, min(self.workers or default_workers(), missing_count))
-
-
-class InProcessBackend(ExecutorBackend):
-    """Serial in-the-calling-process execution — the degraded path.
-
-    No carrier to crash and nothing to kill, so the kill/delay chaos
-    channels do not apply here (cache corruption still does, through
-    ``complete``'s write-through path) and permanent failures raise
-    immediately. This is both the ``workers=1`` debug path and the
-    backend every degradation ladder bottoms out on.
-    """
-
-    name = "inprocess"
-
-    def run(self, missing, policy, stats, complete):
-        _run_missing_serial(missing, complete)
-
-
-class ProcessPoolBackend(ExecutorBackend):
-    """The supervised multiprocessing pool (the historical parallel path).
-
-    Real process isolation: per-cell wall-clock deadlines enforced by
-    killing hung workers, crash detection by exit code and the pinned
-    start-method chain. The one backend that survives a genuinely hung
-    or memory-exploding job.
-    """
-
-    name = "process-pool"
-
-    def run(self, missing, policy, stats, complete):
-        _run_missing_pooled(
-            missing, self.pool_size(len(missing)), policy, stats, complete
-        )
-
-
-class ThreadedLocalBackend(ExecutorBackend):
-    """Thread-pool execution inside the calling process.
-
-    Built for embedding: the fabric service (:mod:`repro.service`) runs
-    many concurrent sweeps in one process, where a process pool per
-    sweep would multiply fork cost and an in-process serial run would
-    serialize tenants. Jobs execute on plain threads — no pickling, so
-    job kinds registered at runtime are always visible, and because
-    policy/stats are context-local, concurrent sweeps on sibling threads
-    stay fully isolated.
-
-    Fault model: threads cannot be SIGKILLed or preempted, so the
-    kill/delay chaos channels are *simulated* — a kill verdict raises
-    :class:`WorkerCrashError` as if the carrier died and a delay verdict
-    raises :class:`JobTimeoutError` as if the deadline fired (first
-    attempt only, exactly like the process pool) — and retried under the
-    same budget/backoff. ``timeout_s`` is consequently advisory here: a
-    genuinely hung job hangs its thread, so use the process-pool backend
-    when job code cannot be trusted to return. Everything else —
-    taxonomy, retry accounting, write-through caching, journaling,
-    report bytes — is identical to the other backends.
-    """
-
-    name = "threaded"
-
-    def run(self, missing, policy, stats, complete):
-        chaos = policy.chaos
-        cond = threading.Condition()
-        pending: deque = deque((index, job, 0) for index, job in missing)
-        state = {"outstanding": len(missing), "completions": 0}
-        failures: List[BaseException] = []
-
-        def fail(error: BaseException) -> None:
-            with cond:
-                failures.append(error)
-                cond.notify_all()
-
-        def finish(index: int, job: SimJob, payload: Any, attempt: int) -> None:
-            with cond:
-                if failures:
-                    return
-                try:
-                    complete(index, job, payload, attempt)
-                except BaseException as exc:
-                    failures.append(exc)
-                    cond.notify_all()
-                    return
-                state["outstanding"] -= 1
-                state["completions"] += 1
-                if (
-                    chaos is not None
-                    and chaos.abort_after is not None
-                    and state["completions"] >= chaos.abort_after
-                ):
-                    failures.append(
-                        KeyboardInterrupt(
-                            f"chaos: abort after {state['completions']} completions"
-                        )
-                    )
-                cond.notify_all()
-
-        def handle_transient(index, job, attempt, exc) -> bool:
-            """Account + reschedule; False once the budget is gone."""
-            with cond:
-                if isinstance(exc, JobTimeoutError):
-                    stats.timeouts += 1
-                else:
-                    stats.crashes += 1
-                if attempt >= policy.retries:
-                    budget = RetryBudgetExceededError(
-                        f"job {job.describe()} failed {attempt + 1} "
-                        f"attempt(s); retry budget ({policy.retries}) exhausted"
-                    )
-                    budget.__cause__ = exc
-                    failures.append(budget)
-                    cond.notify_all()
-                    return False
-                stats.retries += 1
-            backoff = min(
-                policy.backoff_cap_s, policy.backoff_base_s * (2**attempt)
-            )
-            logger.warning(
-                "%s -- retrying in %.2gs (attempt %d of %d)",
-                exc,
-                backoff,
-                attempt + 2,
-                policy.retries + 1,
-            )
-            if backoff > 0:
-                time.sleep(backoff)
-            with cond:
-                pending.append((index, job, attempt + 1))
-                cond.notify_all()
-            return True
-
-        def worker() -> None:
-            while True:
-                with cond:
-                    while (
-                        not pending and state["outstanding"] > 0 and not failures
-                    ):
-                        cond.wait(_POLL_INTERVAL_S)
-                    if failures or state["outstanding"] <= 0:
-                        return
-                    index, job, attempt = pending.popleft()
-                try:
-                    if chaos is not None and attempt == 0:
-                        from repro.harness.chaos import simulated_thread_fault
-
-                        fault = simulated_thread_fault(
-                            chaos, job, policy.timeout_s
-                        )
-                        if fault is not None:
-                            raise fault
-                    payload = execute_job(job)
-                except SimJobError as exc:
-                    if not exc.transient:
-                        fail(exc)
-                        return
-                    if not handle_transient(index, job, attempt, exc):
-                        return
-                    continue
-                except Exception:
-                    fail(
-                        JobExecutionError(
-                            _format_job_failure(
-                                job.kind,
-                                dict(job.params),
-                                job.label,
-                                traceback.format_exc(),
-                            )
-                        )
-                    )
-                    return
-                finish(index, job, payload, attempt)
-
-        threads = [
-            threading.Thread(
-                target=worker, name=f"repro-exec-{slot}", daemon=True
-            )
-            for slot in range(self.pool_size(len(missing)))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-
-
-BACKENDS: Dict[str, Callable[..., ExecutorBackend]] = {
-    InProcessBackend.name: InProcessBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
-    ThreadedLocalBackend.name: ThreadedLocalBackend,
+BACKENDS: Dict[str, Callable[..., None]] = {
+    "inprocess": _run_missing_serial,
+    "process-pool": _run_missing_pooled,
 }
-
-
-def get_backend(name: str, workers: Optional[int] = None) -> ExecutorBackend:
-    """Instantiate a backend by :data:`BACKENDS` name.
-
-    Raises :class:`ConfigurationError` on unknown names, listing the
-    valid ones — the same one-line-error idiom the runner uses for
-    unknown workloads and scenarios.
-    """
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown executor backend {name!r} "
-            f"(choose from {', '.join(sorted(BACKENDS))})"
-        ) from None
-    return factory(workers=workers)
-
-
-def _resolve_backend(
-    backend: Optional[Union[str, ExecutorBackend]],
-    policy: ExecutionPolicy,
-    resolved_workers: int,
-    missing_count: int,
-) -> ExecutorBackend:
-    """Pick the executor: explicit arg > policy.backend > workers-based."""
-    if isinstance(backend, ExecutorBackend):
-        return backend
-    name = backend if backend is not None else policy.backend
-    if name is not None:
-        return get_backend(name, workers=resolved_workers)
-    if resolved_workers <= 1 or missing_count == 1:
-        return InProcessBackend()
-    return ProcessPoolBackend(workers=resolved_workers)
 
 
 def run_jobs(
@@ -1397,7 +1144,7 @@ def run_jobs(
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     policy: Optional[ExecutionPolicy] = None,
-    backend: Optional[Union[str, ExecutorBackend]] = None,
+    backend: Optional[str] = None,
 ) -> List[Any]:
     """Execute ``jobs`` and return decoded results in job order.
 
@@ -1409,15 +1156,23 @@ def run_jobs(
     resumable with only the missing cells recomputed. ``policy``
     (default: the context-local :func:`get_execution_policy`) controls
     timeouts, the transient-retry budget, serial fallback and chaos
-    injection. ``backend`` forces a specific executor — a
-    :data:`BACKENDS` name or an :class:`ExecutorBackend` instance —
-    overriding both ``policy.backend`` and the automatic workers-based
-    choice. The returned objects are identical across every path —
-    serial, pooled, threaded, retried, resumed or cached — because all
-    of them round-trip through the job kind's encode/decode pair.
+    injection. ``backend`` forces a specific executor by
+    :data:`BACKENDS` name, overriding both ``policy.backend`` and the
+    automatic workers-based choice; an unknown name raises
+    :class:`ConfigurationError`. The returned objects are identical
+    across every path — serial, pooled, retried, resumed or cached —
+    because all of them round-trip through the job kind's encode/decode
+    pair.
     """
     resolved = default_workers() if workers is None else max(1, workers)
     active = policy if policy is not None else get_execution_policy()
+    if backend is None:
+        backend = active.backend
+    if backend is not None and backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown executor backend {backend!r} "
+            f"(choose from {', '.join(sorted(BACKENDS))})"
+        )
     stats = FabricStats(jobs=len(jobs))
     _STATS_VAR.set(stats)
 
@@ -1462,7 +1217,7 @@ def _run_jobs_body(
     journal: Optional[SweepJournal],
     start: Dict[str, Any],
     resumable: int,
-    backend: Optional[Union[str, ExecutorBackend]] = None,
+    backend: Optional[str] = None,
 ) -> List[Any]:
     payloads: List[Optional[Any]] = [None] * len(jobs)
     done = [False] * len(jobs)
@@ -1508,24 +1263,26 @@ def _run_jobs_body(
             )
 
     if missing:
-        chosen = _resolve_backend(backend, active, resolved, len(missing))
+        if backend is None:
+            automatic = resolved <= 1 or len(missing) == 1
+            backend = "inprocess" if automatic else "process-pool"
         try:
-            chosen.run(missing, active, stats, complete)
+            BACKENDS[backend](missing, resolved, active, stats, complete)
         except _PoolBroken as broken:
             if not active.fallback_serial:
                 raise WorkerCrashError(
-                    f"{chosen.name} backend degraded ({broken.reason}) and "
+                    f"{backend} backend degraded ({broken.reason}) and "
                     "serial fallback is disabled"
                 ) from None
             stats.degraded = True
             logger.warning(
                 "%s backend degraded (%s) -- falling back to in-process "
                 "serial execution for the %d remaining job(s)",
-                chosen.name,
+                backend,
                 broken.reason,
                 len(broken.remaining),
             )
-            InProcessBackend().run(broken.remaining, active, stats, complete)
+            _run_missing_serial(broken.remaining, resolved, active, stats, complete)
 
     if journal is not None:
         finish = {

@@ -197,9 +197,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="NAME",
-        help="executor backend: inprocess, process-pool or threaded "
+        help="executor backend: inprocess or process-pool "
         "(default: REPRO_BACKEND, or automatic by worker count; "
-        "--serve defaults to threaded)",
+        "--serve defaults to inprocess)",
     )
     parser.add_argument(
         "--breaker-threshold",
@@ -605,7 +605,7 @@ def _run_service(args, parser, policy, names, workload_subset) -> int:
         rate_capacity=rate_capacity,
         rate_refill_per_s=rate_refill,
         breaker_threshold=max(1, args.breaker_threshold),
-        backend=args.backend or "threaded",
+        backend=policy.backend or ServiceConfig.backend,
         workers=args.workers if args.workers else 2,
         allow_degraded=not args.no_degraded,
     )

@@ -95,7 +95,10 @@ class ServiceConfig:
     token bucket (burst / sustained submissions-per-second);
     ``tenant_rates`` overrides specific tenants with ``(capacity,
     refill_per_s)`` pairs — a capacity of 0 blocks a tenant outright.
-    ``backend`` is the primary executor (:data:`BACKENDS` key);
+    ``backend`` is the primary executor (:data:`BACKENDS` key). The
+    default, ``inprocess``, runs each sweep's cells on its dispatcher
+    thread; ``process-pool`` buys real isolation (hung or crashing
+    cells are killed, not shared), and only it can trip its breaker.
     ``allow_degraded`` chooses between rerouting to in-process execution
     (True, the default) and failing fast with :class:`CircuitOpenError`
     (False) when that backend's breaker is open.
@@ -108,7 +111,7 @@ class ServiceConfig:
     tenant_rates: Dict[str, Tuple[float, float]] = field(default_factory=dict)
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 30.0
-    backend: str = "threaded"
+    backend: str = "inprocess"
     workers: int = 2
     allow_degraded: bool = True
 

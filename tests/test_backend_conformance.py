@@ -32,7 +32,6 @@ from repro.harness.parallel import (
     ResultCache,
     SimJob,
     execution_policy,
-    get_backend,
     last_run_stats,
     register_job_kind,
     run_jobs,
@@ -71,14 +70,33 @@ def fig6_serial_reference():
 
 class TestBackendRegistry:
     def test_registry_names_match_instances(self):
-        for name in ALL_BACKENDS:
-            assert get_backend(name).name == name
+        assert ALL_BACKENDS == ["inprocess", "process-pool"]
+        assert all(callable(runner) for runner in BACKENDS.values())
 
-    def test_unknown_backend_is_typed(self):
+    def test_unknown_backend_is_typed(self, monkeypatch, caplog):
         from repro.common.errors import ConfigurationError
+        from repro.service import ServiceConfig
 
-        with pytest.raises(ConfigurationError, match="unknown executor backend"):
-            get_backend("quantum")
+        # The retired thread-pool backend is rejected like any unknown name.
+        for name in ("quantum", "threaded"):
+            with pytest.raises(
+                ConfigurationError, match="unknown executor backend"
+            ) as info:
+                run_jobs(_jobs(2), workers=2, backend=name)
+            assert "(choose from inprocess, process-pool)" in str(info.value)
+            with pytest.raises(ConfigurationError):
+                run_jobs(
+                    _jobs(2), workers=2, policy=ExecutionPolicy(backend=name)
+                )
+            with pytest.raises(ConfigurationError, match="inprocess, process-pool"):
+                ServiceConfig(backend=name)
+            # From the environment it warns and keeps the automatic choice.
+            monkeypatch.setenv("REPRO_BACKEND", name)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="repro.harness.parallel"):
+                assert ExecutionPolicy.from_env().backend is None
+            assert f"ignoring unknown REPRO_BACKEND={name!r}" in caplog.text
+            assert "inprocess, process-pool" in caplog.text
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -210,8 +228,8 @@ def adaptive_serial_reference():
 class TestObservationConformance:
     """The closed loop's telemetry is part of the backend contract: the
     per-window ObservationChannel trace and every strategy switch must be
-    identical across serial, process-pool and threaded execution, and
-    across a ``--resume`` replay — else adaptive sieges would not be
+    identical across serial and process-pool execution, and across a
+    ``--resume`` replay — else adaptive sieges would not be
     content-addressable."""
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -281,7 +299,7 @@ class TestContextIsolation:
                 _jobs(count, offset=seed * 100),
                 workers=2,
                 policy=policy,
-                backend="threaded",
+                backend="process-pool",
             )
             stats = last_run_stats()
             observed[name] = (results, stats.jobs, stats.crashes)

@@ -79,7 +79,6 @@ def _service(tmp_path, clock, **overrides):
         dispatchers=1,
         rate_capacity=100.0,
         rate_refill_per_s=10.0,
-        backend="threaded",
         workers=2,
     )
     defaults.update(overrides)
@@ -265,11 +264,15 @@ class TestCircuitBreaker:
 
     def test_service_trips_then_degrades_then_recovers(self, tmp_path, clock):
         service = _service(
-            tmp_path, clock, breaker_threshold=2, breaker_cooldown_s=60.0
+            tmp_path,
+            clock,
+            backend="process-pool",
+            breaker_threshold=2,
+            breaker_cooldown_s=60.0,
         )
         # Two chaos-killed submissions with zero retry budget: each
         # surfaces a transient infra failure, reruns in-process
-        # (byte-identical), and counts against the threaded breaker.
+        # (byte-identical), and counts against the process-pool breaker.
         for offset in (0, 10):
             ticket = service.submit_sweep(
                 jobs=_jobs(2, offset), tenant="alice", policy=killed_policy(7)
@@ -281,21 +284,21 @@ class TestCircuitBreaker:
         assert health["status"] == "degraded"
         # Per-backend keyed snapshots, covering every registered backend:
         # the tripped one reads open, the never-used ones read pristine.
-        assert health["breakers"]["threaded"] == {
-            "backend": "threaded",
+        assert health["breakers"]["process-pool"] == {
+            "backend": "process-pool",
             "state": "open",
             "consecutive_failures": 0,
             "trips": 1,
         }
         assert sorted(health["breakers"]) == sorted(BACKENDS)
         for name in BACKENDS:
-            if name != "threaded":
+            if name != "process-pool":
                 assert health["breakers"][name]["state"] == "closed"
                 assert health["breakers"][name]["trips"] == 0
         # The readiness probe carries the same per-backend states.
         probe = service.ready()
         assert probe["ready"] is True and bool(probe) is True
-        assert probe["breakers"]["threaded"] == "open"
+        assert probe["breakers"]["process-pool"] == "open"
         # Open circuit: clean submissions route straight to in-process.
         ticket = service.submit_sweep(jobs=_jobs(2, 20), tenant="alice")
         service.drain()
@@ -307,7 +310,7 @@ class TestCircuitBreaker:
         ticket = service.submit_sweep(jobs=_jobs(2, 30), tenant="alice")
         service.drain()
         view = service.status(ticket)
-        assert view["backend"] == "threaded" and view["degraded"] is False
+        assert view["backend"] == "process-pool" and view["degraded"] is False
         assert service.health()["status"] == "ok"
         service.close()
 
@@ -315,6 +318,7 @@ class TestCircuitBreaker:
         service = _service(
             tmp_path,
             clock,
+            backend="process-pool",
             breaker_threshold=1,
             breaker_cooldown_s=30.0,
             allow_degraded=False,
@@ -325,7 +329,7 @@ class TestCircuitBreaker:
         service.drain()
         with pytest.raises(CircuitOpenError) as info:
             service.results(first)
-        assert info.value.backend == "threaded"
+        assert info.value.backend == "process-pool"
         # While open, further submissions fail fast with the cooldown.
         second = service.submit_sweep(jobs=_jobs(2, 10), tenant="alice")
         service.drain()
@@ -512,7 +516,7 @@ class TestProbesAndThreads:
         service = FabricService(
             cache_root=tmp_path,
             config=ServiceConfig(
-                queue_depth=8, dispatchers=2, backend="threaded", workers=2
+                queue_depth=8, dispatchers=2, workers=2
             ),
         )
         try:
@@ -532,7 +536,7 @@ class TestProbesAndThreads:
             async with AsyncFabricService(
                 cache_root=tmp_path,
                 config=ServiceConfig(
-                    queue_depth=4, dispatchers=1, backend="threaded", workers=2
+                    queue_depth=4, dispatchers=1, workers=2
                 ),
             ) as service:
                 ticket = await service.submit_sweep(
@@ -584,6 +588,7 @@ class TestServiceChaosAcceptance:
         service = _service(
             tmp_path,
             clock,
+            backend="process-pool",
             queue_depth=3,
             rate_capacity=1000.0,
             rate_refill_per_s=100.0,

@@ -19,12 +19,14 @@ from repro.harness.parallel import SweepJournal
 SCALE_ARGS = ["--scale", "0.25", "--workloads", "povray,xz"]
 
 
-def _run(tmp_path, extra, experiment="fig6"):
+def _run(tmp_path, extra, experiment="fig6", backend_env=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
     env.pop("REPRO_CHAOS", None)
     env.pop("REPRO_BACKEND", None)
     env.pop("REPRO_SUPERVISED", None)
+    if backend_env is not None:
+        env["REPRO_BACKEND"] = backend_env
     return subprocess.run(
         [
             sys.executable,
@@ -50,9 +52,18 @@ class TestServeHappyPath:
         assert "slowdown by workload" in result.stdout
         assert "tenant=alice" in result.stderr
         assert "[service health: ok" in result.stderr
+        assert "backend=inprocess degraded=False" in result.stderr
         # The tenant's private cache subtree was populated.
         tenant_dir = tmp_path / "cache" / "tenants" / "alice"
         assert list(tenant_dir.glob("??/*.json"))
+
+    def test_serve_honours_repro_backend(self, tmp_path):
+        result = _run(tmp_path, ["--serve"], backend_env="process-pool")
+        assert result.returncode == 0, result.stderr
+        assert (
+            "[fig6 service: tenant=default backend=process-pool degraded=False]"
+            in result.stderr
+        )
 
     def test_serve_report_matches_direct_mode(self, tmp_path):
         served = _run(tmp_path, ["--serve"])
@@ -82,6 +93,8 @@ class TestTempfail:
             tmp_path,
             [
                 "--serve",
+                "--backend",
+                "process-pool",
                 "--no-degraded",
                 "--breaker-threshold",
                 "1",
@@ -100,7 +113,15 @@ class TestTempfail:
         # reroutes to in-process execution and still succeeds.
         result = _run(
             tmp_path,
-            ["--serve", "--chaos", "seed=7,kill=1.0", "--retries", "0"],
+            [
+                "--serve",
+                "--backend",
+                "process-pool",
+                "--chaos",
+                "seed=7,kill=1.0",
+                "--retries",
+                "0",
+            ],
         )
         assert result.returncode == 0, result.stderr
         assert "degraded=True" in result.stderr
@@ -206,9 +227,12 @@ class TestUsageErrors:
         assert "CAP:REFILL" in result.stderr
 
     def test_unknown_backend_is_usage_error(self, tmp_path):
-        result = _run(tmp_path, ["--backend", "quantum"])
-        assert result.returncode == 2
-        assert "unknown backend" in result.stderr
+        # The retired thread-pool backend is rejected like any unknown name.
+        for name in ("quantum", "threaded"):
+            result = _run(tmp_path, ["--backend", name])
+            assert result.returncode == 2
+            assert f"unknown backend {name!r}" in result.stderr
+            assert "(choose from inprocess, process-pool)" in result.stderr
 
     def test_state_dir_without_serve_is_usage_error(self, tmp_path):
         result = _run(tmp_path, ["--state-dir", str(tmp_path / "state")])
@@ -228,9 +252,9 @@ class TestUsageErrors:
 
 class TestBackendFlagDirectMode:
     def test_explicit_backend_produces_same_report(self, tmp_path):
-        threaded = _run(tmp_path, ["--backend", "threaded", "--workers", "2"])
+        serial = _run(tmp_path, ["--backend", "inprocess", "--workers", "2"])
         default = _run(tmp_path, ["--workers", "2"])
-        assert threaded.returncode == 0, threaded.stderr
+        assert serial.returncode == 0, serial.stderr
         assert default.returncode == 0, default.stderr
 
         def _report(stdout):
@@ -240,4 +264,4 @@ class TestBackendFlagDirectMode:
                 if not (line.startswith("[") and line.endswith("]"))
             )
 
-        assert _report(threaded.stdout) == _report(default.stdout)
+        assert _report(serial.stdout) == _report(default.stdout)

@@ -86,7 +86,6 @@ def _service(tmp_path, clock, state=True, **kwargs):
         dispatchers=1,
         rate_capacity=100.0,
         rate_refill_per_s=10.0,
-        backend="threaded",
         workers=2,
     )
     return FabricService(
