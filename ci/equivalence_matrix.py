@@ -56,6 +56,11 @@ SERVED = "fig6 --scale 0.25 --workloads povray,xz"
 CAMPAIGN = "campaign --scale 0.25 --validate"
 SIEGE = "siege --scale 0.25 --validate"
 FRONTIER = "frontier --scale 0.25 --validate"
+# ``--validate`` boots every cell cold; these two run the siege cells'
+# snapshot boot (restored from the memo and, across pool workers, from
+# the disk tier) and must print the validated reports byte for byte.
+SIEGE_SNAPSHOT = "siege --scale 0.25"
+FRONTIER_SNAPSHOT = "frontier --scale 0.25"
 
 AXES: Dict[str, Tuple[str, ...]] = {
     "core": ("scalar", "batched"),
@@ -103,6 +108,8 @@ POINTS: Tuple[Point, ...] = (
     Point(SIEGE, "scalar", "cold", "process-pool", "warm"),
     Point(FRONTIER, "batched", "cold", "process-pool", "cold"),
     Point(SERVED, "batched", "snapshot", "process-pool", "warm"),
+    Point(SIEGE_SNAPSHOT, "batched", "snapshot", "process-pool", "cold"),
+    Point(FRONTIER_SNAPSHOT, "scalar", "snapshot", "process-pool", "cold"),
 )
 
 

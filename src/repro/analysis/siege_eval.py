@@ -40,7 +40,7 @@ Two siege modes share this module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 #: Attack intensities: uncorrectable-grade disturbances per exposure window.
@@ -98,6 +98,49 @@ class SiegeCell:
         return values[index]
 
 
+def _siege_boot(workload: str, seed: int, config, policy, validate: bool):
+    """Boot a siege machine: ``(system, process, walked PTE lines)``.
+
+    Shared by both siege modes. The boot is a pure function of the
+    workload, the seed, the spare-row count and the guard config, so
+    cells sharing them (a frontier grid has one per ``spare_rows``
+    value) deep-restore a snapshot (:mod:`repro.harness.snapshot`)
+    instead of re-booting. A validating cell always boots cold so the
+    checker watches the machine from birth.
+    """
+    from repro.analysis.correction_eval import walked_pte_lines, workload_process
+    from repro.common.config import PAGE_BYTES
+    from repro.faults.campaign import _WARM_TRANSLATIONS
+    from repro.harness import snapshot as boot_snapshot
+    from repro.harness.system import build_system
+
+    # Spares are only carved out when retirement can use them, so
+    # non-retiring policies keep the seed memory layout exactly.
+    spare_rows = (
+        policy.spare_rows if policy is not None and policy.retire_enabled else 0
+    )
+
+    def boot():
+        system = build_system(ptguard=config, seed=seed, spare_rows=spare_rows)
+        process = workload_process(system, workload, seed)
+        for vpn in sorted(process.frames)[:_WARM_TRANSLATIONS]:
+            system.kernel.access_virtual(process, vpn * PAGE_BYTES)
+        return system, process, walked_pte_lines(system, process)
+
+    if validate:
+        return boot()
+    return boot_snapshot.cached_boot(
+        "siege_cell",
+        {
+            "workload": workload,
+            "seed": seed,
+            "spare_rows": spare_rows,
+            "config": asdict(config),
+        },
+        boot,
+    )
+
+
 def run_siege_cell(
     intensity: str,
     faults_per_window: int,
@@ -108,8 +151,7 @@ def run_siege_cell(
     recovery: Optional[dict] = None,
 ) -> SiegeCell:
     """Run one siege in-process; pure function of its parameters."""
-    from repro.analysis.correction_eval import walked_pte_lines, workload_process
-    from repro.common.config import PAGE_BYTES, PTGuardConfig
+    from repro.common.config import PTGuardConfig
     from repro.core import pattern
     from repro.faults.campaign import (
         OUTCOME_CLASSES,
@@ -118,27 +160,12 @@ def run_siege_cell(
     )
     from repro.faults.inject import FaultInjector
     from repro.faults.invariants import attach_validator
-    from repro.harness.system import build_system
     from repro.recovery.policy import policy_from_params
 
     policy = policy_from_params(recovery)
     config = PTGuardConfig(correction_enabled=True)
-    system = build_system(
-        ptguard=config,
-        seed=seed,
-        # Spares are only carved out when retirement can use them, so
-        # non-retiring policies keep the seed memory layout exactly.
-        spare_rows=(
-            policy.spare_rows
-            if policy is not None and policy.retire_enabled
-            else 0
-        ),
-    )
+    system, _process, pte_lines = _siege_boot(workload, seed, config, policy, validate)
     kernel = system.kernel
-    process = workload_process(system, workload, seed)
-    for vpn in sorted(process.frames)[:64]:
-        kernel.access_virtual(process, vpn * PAGE_BYTES)
-    pte_lines = walked_pte_lines(system, process)
 
     checker = attach_validator(system) if validate else None
     injector = FaultInjector(seed=seed, max_phys_bits=config.max_phys_bits)
@@ -310,7 +337,6 @@ def run_adaptive_siege_cell(
     switching controller runs the whole ladder). Pure function of its
     parameters, like every other cell.
     """
-    from repro.analysis.correction_eval import walked_pte_lines, workload_process
     from repro.attacks.adaptive import (
         ObservationChannel,
         craft_bit_offsets,
@@ -326,26 +352,13 @@ def run_adaptive_siege_cell(
     )
     from repro.faults.inject import deterministic_choice
     from repro.faults.invariants import attach_validator
-    from repro.harness.system import build_system
     from repro.recovery.policy import policy_from_params
 
     policy = policy_from_params(recovery)
     config = PTGuardConfig(correction_enabled=True)
-    system = build_system(
-        ptguard=config,
-        seed=seed,
-        spare_rows=(
-            policy.spare_rows
-            if policy is not None and policy.retire_enabled
-            else 0
-        ),
-    )
+    system, process, pte_lines = _siege_boot(workload, seed, config, policy, validate)
     kernel = system.kernel
-    process = workload_process(system, workload, seed)
     warm_vpns = sorted(process.frames)
-    for vpn in warm_vpns[:64]:
-        kernel.access_virtual(process, vpn * PAGE_BYTES)
-    pte_lines = walked_pte_lines(system, process)
 
     checker = attach_validator(system) if validate else None
     manager = None

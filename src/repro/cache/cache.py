@@ -161,6 +161,20 @@ class Cache:
             return EvictedLine(address=address, data=line.data, dirty=True)
         return None
 
+    def discard_lines(self, addresses) -> None:
+        """Drop, without write-back, every resident line whose address is
+        in the set ``addresses``; walks the resident lines, not the set."""
+        set_bits = self._set_bits
+        offset_bits = self._offset_bits
+        for set_index, lines in self._sets.items():
+            doomed = [
+                tag
+                for tag in lines
+                if ((tag << set_bits) | set_index) << offset_bits in addresses
+            ]
+            for tag in doomed:
+                del lines[tag]
+
     def flush_all(self) -> list[EvictedLine]:
         """Empty the cache, returning every dirty line for write-back."""
         dirty: list[EvictedLine] = []

@@ -57,6 +57,10 @@ class SharedLLCAdapter:
         """Coherence invalidation for the shared LLC (no write-back)."""
         self.llc.invalidate(address)
 
+    def discard_lines(self, addresses) -> None:
+        """:meth:`discard` every line of the set ``addresses``."""
+        self.llc.discard_lines(addresses)
+
     def access(self, request: MemoryRequest):
         if request.is_write:
             return self.write_access(
@@ -307,6 +311,11 @@ class CacheHierarchy:
         address = self._align(address)
         for cache in self._levels:
             cache.invalidate(address)
+
+    def discard_lines(self, addresses) -> None:
+        """:meth:`discard` every line of the set ``addresses`` (aligned)."""
+        for cache in self._levels:
+            cache.discard_lines(addresses)
 
     @staticmethod
     def _align(address: int) -> int:

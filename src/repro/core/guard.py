@@ -358,7 +358,7 @@ class PTGuard:
 
         The system embedding the guard is responsible for walking memory
         (read-under-old-key, write-under-new-key) around this call; see
-        :meth:`repro.harness.system.System.rekey_memory`.
+        :meth:`repro.os.kernel.Kernel.rekey_memory`.
         """
         self._epoch += 1
         self.stats.increment("rekeys")

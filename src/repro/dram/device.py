@@ -17,7 +17,7 @@ The device sits below the memory controller. It models:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.common.config import DRAMConfig
 from repro.common.stats import StatGroup
@@ -211,6 +211,67 @@ class DRAMDevice:
         except KeyError:
             counters[name] = 1
         return latency
+
+    def sweep(
+        self, addresses: Sequence[int], lines: Optional[Sequence[bytes]] = None
+    ) -> Tuple[int, List[bytes]]:
+        """Access ``addresses`` in order as one burst; returns ``(cycles, lines)``.
+
+        Reads every line when ``lines`` is None, else writes ``lines[i]``
+        to ``addresses[i]``. Each line costs what :meth:`access` followed
+        by :meth:`read_line` / :meth:`write_line` costs, and in the same
+        order: row-buffer timing, then every activation through
+        :meth:`_activate` (so Rowhammer flips and mitigation refreshes
+        land exactly where per-line accesses put them), then the data
+        transfer. Counters are added once at the end. Activations are
+        issued at cycle 0, as for the OS's own line reads and writes.
+        """
+        remap = self._row_remap
+        mapper = self.mapper
+        row_key_of = mapper.row_key_of
+        open_rows = self._open_rows
+        activate = self._activate
+        memory = self.memory
+        reading = lines is None
+        out: List[bytes] = [] if reading else list(lines)
+        hits = misses = conflicts = 0
+        for index, address in enumerate(addresses):
+            row_key = row_key_of(address)
+            if remap:
+                target = remap.get(row_key)
+                if target is not None:
+                    address = mapper.translate_row(address, target)
+                    row_key = target
+            bank = row_key[:3]
+            open_row = open_rows.get(bank)
+            if open_row == row_key[3]:
+                hits += 1
+            else:
+                if open_row is None:
+                    misses += 1
+                else:
+                    conflicts += 1
+                open_rows[bank] = row_key[3]
+                activate(row_key, 0)
+            if reading:
+                out.append(memory.read_line(address))
+            else:
+                memory.write_line(address, out[index])
+        stats = self.stats
+        for name, count in (
+            ("row_hits", hits),
+            ("row_misses", misses),
+            ("row_conflicts", conflicts),
+            ("reads" if reading else "writes", len(out)),
+        ):
+            if count:
+                stats.increment(name, count)
+        cycles = (
+            hits * self._row_hit_cycles
+            + misses * self._row_miss_cycles
+            + conflicts * self._row_conflict_cycles
+        )
+        return cycles, out
 
     def _activate(self, row_key: RowKey, cycle: int) -> None:
         self.stats.increment("activations")

@@ -14,9 +14,7 @@ baseline of the evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from repro.common.config import CACHELINE_BYTES
 from repro.common.errors import CollisionBufferOverflow
@@ -82,8 +80,9 @@ class MemoryController:
         self._read_fault_hook = hook
 
     def attach_coherent_cache(self, cache) -> None:
-        """Register an object with a ``discard(address)`` method to be
-        notified on every DRAM write (models hardware invalidation)."""
+        """Register an object with ``discard(address)`` and
+        ``discard_lines(addresses)`` methods, notified on every foreign
+        DRAM write (models hardware invalidation)."""
         self._coherence_listeners.append(cache)
 
     def access(self, request: MemoryRequest) -> MemoryResponse:
@@ -170,6 +169,51 @@ class MemoryController:
             corrected=outcome.corrected,
             guard_outcome=outcome,
         )
+
+    # -- re-key sweep (Sec VII-B) -------------------------------------------------
+
+    def rekey_sweep(self, addresses: Sequence[int], rotate: Callable[[], None]) -> int:
+        """Re-key ``addresses`` in one ordered burst; returns its cycles.
+
+        Equivalent to a guarded ``read_line`` of every address, then
+        ``rotate()`` (the guard's key-epoch switch), then a ``write_line``
+        of every logical line, in the same order -- the same DRAM traffic,
+        guard transforms, MAC computations and counters, but one DRAM
+        burst per direction and no per-line response. The read fault
+        hook, if installed, sees every address before the read burst.
+        Coherence discards go only to lines some cache holds.
+        """
+        guard = self.ptguard
+        stats = self.stats
+        if addresses:
+            stats.increment("reads", len(addresses))
+        hook = self._read_fault_hook
+        if hook is not None:
+            for address in addresses:
+                hook(address, False)
+        cycles, stored = self.dram.sweep(addresses)
+        process_read = guard.process_read
+        logical = []
+        for address, line in zip(addresses, stored):
+            outcome = process_read(address, line, False)
+            cycles += outcome.latency_cycles
+            logical.append(outcome.line)
+        rotate()
+        if addresses:
+            stats.increment("writes", len(addresses))
+        process_write = guard.process_write
+        for index, address in enumerate(addresses):
+            try:
+                logical[index] = process_write(address, logical[index]).stored_line
+            except CollisionBufferOverflow:
+                # Stored raw, as on the write path; the sweep itself is
+                # the OS's answer to the overflow.
+                stats.increment("ctb_overflows")
+        cycles += self.dram.sweep(addresses, logical)[0]
+        swept = set(addresses)
+        for cache in self._coherence_listeners:
+            cache.discard_lines(swept)
+        return cycles
 
     # -- row retirement (repro.recovery) ---------------------------------------
 

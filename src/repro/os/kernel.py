@@ -418,24 +418,17 @@ class Kernel:
 
         Reads every resident line under the old key (stripping MACs where
         present), rotates the guard's key epoch, and rewrites the lines so
-        fresh MACs are embedded. Returns the number of lines rewritten.
+        fresh MACs are embedded -- one controller sweep in the backing
+        store's line order. Returns the number of lines rewritten.
         """
         guard = self.controller.ptguard
         if guard is None:
             self.last_rekey_cycles = 0
             return 0
-        cycles = 0
-        memory = self.controller.dram.memory
-        logical: Dict[int, bytes] = {}
-        for line_address in list(memory.touched_lines()):
-            response = self.controller.read_line(line_address)
-            logical[line_address] = response.data
-            cycles += response.latency_cycles
-        guard.rekey()
-        for line_address, data in logical.items():
-            cycles += self.controller.write_line(line_address, data).latency_cycles
+        addresses = list(self.controller.dram.memory.touched_lines())
+        cycles = self.controller.rekey_sweep(addresses, guard.rekey)
         self.stats.increment("rekeys")
         # Controller cycles the sweep cost (read-old-key + write-new-key);
         # recovery accounting reads this right after triggering a rekey.
         self.last_rekey_cycles = cycles
-        return len(logical)
+        return len(addresses)

@@ -259,3 +259,69 @@ class TestEndToEndEquality:
         assert cells() == cold
         # The two scenarios share one boot (scenario is not a boot input).
         assert len(list(snapshot.snapshot_dir().glob("*.pkl"))) == 1
+
+
+class TestSiegeBoots:
+    """Both siege modes boot through one snapshot per configuration."""
+
+    SPARE_ROWS = (0, 2, 4, 8)
+
+    @staticmethod
+    def _cells(spare_rows: int):
+        from dataclasses import asdict
+
+        from repro.analysis.siege_eval import run_adaptive_siege_cell, run_siege_cell
+        from repro.recovery.policy import RecoveryPolicy
+
+        # A hair-trigger rekey, so the cells re-key memory after restores.
+        params = RecoveryPolicy(
+            name=f"spares{spare_rows}",
+            spare_rows=spare_rows,
+            rekey_threshold=2,
+            rekey_cooldown=0,
+        ).as_params()
+        return (
+            asdict(run_siege_cell("high", 16, 3, seed=4, recovery=params)),
+            asdict(run_adaptive_siege_cell("rekey_burst", 4, seed=4, recovery=params)),
+        )
+
+    @pytest.mark.parametrize("spare_rows", SPARE_ROWS)
+    def test_siege_cells_match_cold_boot(self, spare_rows, monkeypatch):
+        monkeypatch.setenv("REPRO_BOOT_SNAPSHOT", "0")
+        cold = self._cells(spare_rows)
+        monkeypatch.setenv("REPRO_BOOT_SNAPSHOT", "1")
+        snapshot.reset()
+        assert self._cells(spare_rows) == cold  # boots once, then memo
+        assert len(list(snapshot.snapshot_dir().glob("*.pkl"))) == 1
+        assert self._cells(spare_rows) == cold  # memo only
+        snapshot.reset()
+        assert self._cells(spare_rows) == cold  # disk tier
+        siege, adaptive = cold
+        assert siege["spare_rows_left"] == spare_rows - siege["rows_retired"]
+        assert adaptive["spare_rows_left"] + adaptive["rows_retired"] == spare_rows
+        assert adaptive["adaptive_rekeys"] and adaptive["downtime_rekey_cycles"]
+
+    def test_default_frontier_boots_once_per_distinct_key(self, tmp_path, monkeypatch):
+        from repro.analysis.frontier_eval import run_frontier
+        from repro.harness import system as system_module
+        from repro.harness.parallel import ResultCache
+        from repro.recovery.search import policy_grid
+
+        keys = {
+            policy.spare_rows if policy.retire_enabled else 0
+            for policy in policy_grid("default")
+        }
+        assert keys == set(self.SPARE_ROWS)
+        boots = []
+        real_build = system_module.build_system
+
+        def counting_build(*args, **kwargs):
+            boots.append(kwargs.get("spare_rows", 0))
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(system_module, "build_system", counting_build)
+        _rows, cells = run_frontier(
+            windows=1, seed=3, workers=1, cache=ResultCache(tmp_path / "results")
+        )
+        assert len(cells) == 5 * len(policy_grid("default"))
+        assert sorted(boots) == sorted(keys)
