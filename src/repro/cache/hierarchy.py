@@ -138,7 +138,7 @@ class CacheHierarchy:
         self.stats = StatGroup("hierarchy")
         self._counters = self.stats.raw()  # inlined hot-path updates
         self._lat1 = self._latencies[0]
-        self._lat2 = self._latencies[1]
+        self._lat12 = self._lat1 + self._latencies[1]
         self._lat3 = self._latencies[2] if self.l3 is not None else 0
         self.cycle = 0  # advanced by the owning core model
 
@@ -157,11 +157,22 @@ class CacheHierarchy:
             counters["reads"] += 1
         except KeyError:
             counters["reads"] = 1
-        latency = self._lat1
         line = self.l1.lookup(address)
         if line is not None:
-            return AccessResult(line.data, latency, "L1")
-        latency += self._lat2
+            return AccessResult(line.data, self._lat1, "L1")
+        return self.read_below_l1(address, is_pte)
+
+    def read_below_l1(self, address: int, is_pte: bool) -> AccessResult:
+        """Continue a read that missed L1: probe L2, then L3 and DRAM.
+
+        The one L1-miss path of both core loops: :meth:`read` calls it
+        after its L1 probe, and the batched execution core
+        (:mod:`repro.cpu.batch_core`) after its inline L1 probe, so the
+        two loops are outcome-identical by construction. An L2 hit refills
+        L1 and pushes a dirty L1 victim down. ``address`` must already be
+        line-aligned; the returned latency includes the L1 probe.
+        """
+        latency = self._lat12
         line = self.l2.lookup(address)
         if line is not None:
             data = line.data
@@ -174,12 +185,8 @@ class CacheHierarchy:
     def read_below_l2(self, address: int, is_pte: bool, latency: int) -> AccessResult:
         """Continue a read that missed L1 and L2: probe L3, then DRAM.
 
-        Split out of :meth:`read` so the batched execution core
-        (:mod:`repro.cpu.batch_core`) can inline the L1/L2 probes and fall
-        through to this exact slow path — one shared implementation keeps
-        the two paths outcome-identical by construction. ``latency`` is
-        the cycle cost already accumulated by the caller's upper-level
-        probes; ``address`` must already be line-aligned.
+        ``latency`` is the cycle cost already accumulated by the upper
+        levels' probes; ``address`` must already be line-aligned.
         """
         counters = self._counters
         l3 = self.l3

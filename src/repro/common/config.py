@@ -7,6 +7,7 @@ core, 64-entry fully-associative TLB, 8 KB MMU cache, 32 KB L1, 256 KB L2,
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass, field
 
@@ -25,6 +26,20 @@ PTES_PER_LINE = CACHELINE_BYTES // PTE_BYTES  # 8
 
 DEFAULT_BATCH_SIZE = 4096
 
+logger = logging.getLogger(__name__)
+
+
+def env_int(name: str, default: int) -> int:
+    """Integer environment knob; unset or empty gives ``default``, and
+    an unparsable value warns and gives ``default`` too."""
+    env = os.environ.get(name)
+    if env:
+        try:
+            return int(env)
+        except ValueError:
+            logger.warning("ignoring unparsable %s=%r", name, env)
+    return default
+
 
 def batch_size(default: int = DEFAULT_BATCH_SIZE) -> int:
     """Execution batch size from the ``REPRO_BATCH`` environment variable.
@@ -36,16 +51,10 @@ def batch_size(default: int = DEFAULT_BATCH_SIZE) -> int:
     are bit-identical — the knob exists for differential testing
     (``--batch-size`` on the CLI, the scalar points of
     ``ci/equivalence_matrix.py``) and for bisecting, not for tuning
-    results. Unset or invalid
-    values fall back to ``default``.
+    results. Unset values fall back to ``default``; unparsable ones
+    warn and fall back too (:func:`env_int`).
     """
-    raw = os.environ.get("REPRO_BATCH")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
+    value = env_int("REPRO_BATCH", default)
     return value if value > 0 else 0
 
 

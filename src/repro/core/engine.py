@@ -14,18 +14,13 @@ Callers work on a line as one 512-bit little-endian integer (see
 correction search derives its guesses from that integer, so the single
 entry point is :meth:`MACEngine.compute_masked`, which takes the
 *already masked* value (``value & engine.protected_mask``). It is the one
-path for every tag: bulk-hint lookup, then the backend's ``compute``,
-then the differential-oracle countdown. Every call ticks
-``computations`` — the simulated MAC-unit invocation count used for
-energy accounting — whether or not a hint spared the host the work.
+path for every tag: the backend's ``compute``, then the
+differential-oracle countdown. Every call ticks ``computations`` — the
+simulated MAC-unit invocation count used for energy accounting — and
+computes the tag afresh: there is no host-side tag reuse, so a flipped
+protected bit always reaches the honest computation.
 :meth:`MACEngine.compute` and :meth:`MACEngine.verify` are the
 bytes-domain wrappers over it.
-
-Bulk hints (:meth:`MACEngine.prime_bulk_tags`) are the only host-side
-tag reuse: the batched execution core computes page-table-line tags in
-one vectorized pass, and a hint serves a scalar request only when the
-masked content still matches, so a flipped protected bit always reaches
-the honest computation.
 """
 
 from __future__ import annotations
@@ -51,8 +46,7 @@ class VerifyResult(NamedTuple):
 class MACEngine:
     """Computes/verifies PTE-line MACs for the memory controller.
 
-    Oracle and hint activity is observable through :attr:`stats` and
-    :attr:`bulk_hint_hits`.
+    Oracle activity is observable through :attr:`stats`.
     """
 
     def __init__(
@@ -72,16 +66,6 @@ class MACEngine:
         self._oracle = None
         self._oracle_period = 0
         self._oracle_countdown = 0
-        # Bulk-tag hints (batched walk support): address -> (masked line
-        # value, tag), primed through :meth:`prime_bulk_tags` by the
-        # batched execution core. A hint hit still counts a
-        # ``computations`` tick and still runs the oracle countdown — the
-        # hint replaces only the *host-side* scalar tag computation, never
-        # a simulated outcome. ``bulk_hint_hits`` is a plain attribute
-        # (not a stats key) so ``stats`` stays identical batched vs
-        # scalar.
-        self._bulk_tags: "dict[int, tuple[int, int]] | None" = None
-        self.bulk_hint_hits = 0
         self.stats = StatGroup("mac_engine")
 
     @property
@@ -97,67 +81,15 @@ class MACEngine:
     def compute_masked(self, masked: int, address: int) -> int:
         """MAC of a line value whose unprotected bits are already zero."""
         self.computations += 1
-        tag = None
-        bulk = self._bulk_tags
-        if bulk is not None:
-            hint = bulk.get(address)
-            if hint is not None and hint[0] == masked:
-                # Hint tags were produced by compute_batch over the same
-                # masked content, so this IS the scalar tag — a changed
-                # protected bit (fault, tamper) misses the content check
-                # and falls through to the reference scalar path below.
-                tag = hint[1]
-                self.bulk_hint_hits += 1
-        if tag is None:
-            tag = self.line_mac.compute(
-                masked.to_bytes(CACHELINE_BYTES, "little"), address
-            )
+        tag = self.line_mac.compute(
+            masked.to_bytes(CACHELINE_BYTES, "little"), address
+        )
         if self._oracle is not None:
             self._oracle_countdown -= 1
             if self._oracle_countdown <= 0:
                 self._oracle_countdown = self._oracle_period
                 self._check_oracle(masked, address, tag)
         return tag
-
-    def prime_bulk_tags(self, lines, addresses) -> int:
-        """Pre-compute tag hints for ``addresses`` in one vectorized pass.
-
-        Used by the batched execution core before a walk-heavy batch:
-        page-table lines are gathered and their tags computed through
-        ``compute_batch`` so that mid-batch :meth:`compute_masked` calls —
-        which are what the inline page walk's PTE-line fills land on —
-        resolve from the hint dict instead of paying the scalar tag (for
-        qarma, ~100 us each). Refresh-aware: addresses whose existing
-        hint still matches the current masked content are skipped.
-        Requires a batched backend; returns 0 (and primes nothing) when
-        ``line_mac`` has no ``compute_batch``, since scalar priming would
-        merely move the same host cost earlier.
-        """
-        compute_batch = getattr(self.line_mac, "compute_batch", None)
-        if compute_batch is None:
-            return 0
-        bulk = self._bulk_tags
-        if bulk is None:
-            bulk = self._bulk_tags = {}
-        protected_mask = self.protected_mask
-        fresh_masked = []
-        fresh_addresses = []
-        for line, address in zip(lines, addresses):
-            masked = int.from_bytes(line, "little") & protected_mask
-            hint = bulk.get(address)
-            if hint is not None and hint[0] == masked:
-                continue
-            fresh_masked.append(masked)
-            fresh_addresses.append(address)
-        if not fresh_masked:
-            return 0
-        tags = compute_batch(
-            [m.to_bytes(CACHELINE_BYTES, "little") for m in fresh_masked],
-            fresh_addresses,
-        )
-        for masked, address, tag in zip(fresh_masked, fresh_addresses, tags):
-            bulk[address] = (masked, int(tag))
-        return len(fresh_masked)
 
     def attach_oracle(self, reference_compute, sample_period: int = 64) -> None:
         """Arm the differential oracle (``--validate``).
@@ -189,12 +121,6 @@ class MACEngine:
                 f"MAC differential oracle diverged at line {address:#x}: "
                 f"fast path {tag:#x} != reference {expected:#x}"
             )
-
-    def drop_hint(self, address: int) -> None:
-        """Drop the bulk-tag hint for ``address`` (stored contents changed)."""
-        bulk = self._bulk_tags
-        if bulk is not None:
-            bulk.pop(address, None)
 
     def compute_zero_mac(self) -> int:
         """The pre-computed MAC of an all-zero line *without* address binding.

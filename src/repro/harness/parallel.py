@@ -84,6 +84,7 @@ from typing import (
     Tuple,
 )
 
+from repro.common.config import env_int
 from repro.common.errors import (
     ConfigurationError,
     JobExecutionError,
@@ -377,18 +378,6 @@ register_job_kind(
 # -- result cache -------------------------------------------------------------
 
 
-def _env_int(name: str, default: int) -> int:
-    """Integer environment knob; unset or empty gives ``default``, and
-    an unparsable value warns and gives ``default`` too."""
-    env = os.environ.get(name)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            logger.warning("ignoring unparsable %s=%r", name, env)
-    return default
-
-
 def default_cache_dir() -> pathlib.Path:
     """``REPRO_CACHE_DIR`` or ``~/.cache/ptguard-repro``."""
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -436,7 +425,7 @@ class ResultCache:
     ):
         self.root = pathlib.Path(root) if root is not None else default_cache_dir()
         if quarantine_limit is None:
-            quarantine_limit = _env_int("REPRO_QUARANTINE_LIMIT", 64)
+            quarantine_limit = env_int("REPRO_QUARANTINE_LIMIT", 64)
         self.quarantine_limit = quarantine_limit
         self.quarantine_evictions = 0
         self.hits = 0
@@ -684,7 +673,7 @@ class ExecutionPolicy:
                 policy.timeout_s = max(0.001, float(timeout))
             except ValueError:
                 logger.warning("ignoring unparsable REPRO_TIMEOUT=%r", timeout)
-        policy.retries = max(0, _env_int("REPRO_RETRIES", policy.retries))
+        policy.retries = max(0, env_int("REPRO_RETRIES", policy.retries))
         spec = os.environ.get("REPRO_CHAOS")
         if spec:
             from repro.harness.chaos import ChaosPolicy
@@ -783,7 +772,7 @@ def last_run_stats() -> FabricStats:
 
 def default_workers() -> int:
     """``REPRO_WORKERS`` or the machine's CPU count."""
-    return max(1, _env_int("REPRO_WORKERS", os.cpu_count() or 1))
+    return max(1, env_int("REPRO_WORKERS", os.cpu_count() or 1))
 
 
 START_METHOD_PREFERENCE = ("fork", "forkserver", "spawn")

@@ -3,10 +3,10 @@
 Derandomized hypothesis property tests (same discipline as
 ``test_property_roundtrips.py``: the example sequence is a pure function
 of the test code, so CI runs are byte-for-byte repeatable) covering the
-three vectorized layers — batched QARMA MACs, the vectorized trace-RNG
-replay, and the fused batch execution core — plus a chaos+validate
-fault-injection campaign regression that pushes fault injection,
-runtime invariants and recovery through the batched core.
+two vectorized layers — the vectorized trace-RNG replay and the fused
+batch execution core, prefaulted and demand-paged — plus a
+chaos+validate fault-injection campaign regression that pushes fault
+injection, runtime invariants and recovery through the batched core.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.common.config import optimized_ptguard_config
 from repro.cpu.trace import TraceGenerator
 from repro.cpu.trace_vector import HAVE_NUMPY, VectorTraceReplayer
 from repro.cpu.workloads import WORKLOADS, get_workload
-from repro.crypto.mac import make_line_mac
 from repro.harness.system import build_system
 
 DERANDOMIZED = settings(derandomize=True, max_examples=200, deadline=None)
@@ -51,43 +50,6 @@ class _batch_env:
             os.environ.pop("REPRO_BATCH", None)
         else:
             os.environ["REPRO_BATCH"] = self.previous
-
-
-# -- batched QARMA MACs -------------------------------------------------------
-
-#: One shared backend: compute() must be a pure function of (line,
-#: address), so reuse across examples is itself part of the property.
-_QARMA = make_line_mac("qarma", b"batch-equivalence-secret")
-
-_cells = st.lists(
-    st.tuples(
-        st.binary(min_size=64, max_size=64),
-        st.integers(min_value=0, max_value=(1 << 34) - 1).map(
-            lambda index: index * 64
-        ),
-    ),
-    min_size=1,
-    max_size=16,
-)
-
-
-class TestQarmaBatch:
-    @needs_numpy
-    @DERANDOMIZED
-    @given(cells=_cells)
-    def test_compute_batch_matches_scalar_compute(self, cells):
-        lines = [line for line, _ in cells]
-        addresses = [address for _, address in cells]
-        batched = _QARMA.compute_batch(lines, addresses)
-        scalar = [
-            _QARMA.compute(line, address)
-            for line, address in zip(lines, addresses)
-        ]
-        assert [int(tag) for tag in batched] == scalar
-
-    @needs_numpy
-    def test_empty_batch(self):
-        assert list(_QARMA.compute_batch([], [])) == []
 
 
 # -- vectorized trace replay --------------------------------------------------
@@ -217,7 +179,13 @@ class TestVectorTraceReplay:
 # -- fused batch execution core ----------------------------------------------
 
 
-def _core_snapshot(batch, mac, workload, mem_ops, warmup):
+def _core_snapshot(batch, mac, workload, mem_ops, warmup, prefault=True):
+    """Run one core window and capture everything it can touch.
+
+    ``prefault=False`` leaves the trace's pages unmapped, so batched TLB
+    misses take demand-paging faults mid-batch and retry the walk — the
+    regime of the CLI experiments and the benchmark.
+    """
     with _batch_env(batch):
         system = build_system(
             ptguard=optimized_ptguard_config(), mac_algorithm=mac, seed=2023
@@ -226,7 +194,8 @@ def _core_snapshot(batch, mac, workload, mem_ops, warmup):
             get_workload(workload), seed=11
         )
         core = system.new_core(process)
-        core.prefault(trace)
+        if prefault:
+            core.prefault(trace)
         result = core.run(trace, mem_ops=mem_ops, warmup_ops=warmup)
         guard = system.controller.ptguard
         return {
@@ -237,9 +206,13 @@ def _core_snapshot(batch, mac, workload, mem_ops, warmup):
             "hier": core.hierarchy.stats.as_dict(),
             "l1": core.hierarchy.l1.stats.as_dict(),
             "l2": core.hierarchy.l2.stats.as_dict(),
+            "l3": core.hierarchy.l3.stats.as_dict(),
+            "mmu": core.walker.mmu_cache.stats.as_dict(),
             "tlb": core.walker.tlb.stats.as_dict(),
             "walker": core.walker.stats.as_dict(),
             "engine": guard.engine.stats.as_dict(),
+            "computations": guard.engine.computations,
+            "kernel": system.kernel.stats.as_dict(),
             "rng": trace._rng.getstate(),
             "tail": [tuple(trace.next_record()) for _ in range(3)],
         }
@@ -254,34 +227,27 @@ class TestBatchedCore:
         mem_ops=st.integers(min_value=1, max_value=400),
         warmup=st.integers(min_value=0, max_value=120),
         batch=st.sampled_from([2, 7, 64, 4096]),
+        prefault=st.booleans(),
     )
     def test_line_ops_counters_and_results_match_scalar(
-        self, mac, workload, mem_ops, warmup, batch
+        self, mac, workload, mem_ops, warmup, batch, prefault
     ):
-        scalar = _core_snapshot(1, mac, workload, mem_ops, warmup)
-        batched = _core_snapshot(batch, mac, workload, mem_ops, warmup)
-        assert batched == scalar
-
-    @needs_numpy
-    def test_qarma_bulk_hints_no_verify_cache_matches_scalar(self):
-        # Mid-batch PTE-line MAC checks resolve through the bulk-tag
-        # hints primed by the batched core; every counter (including
-        # ``computations``) must still match the scalar walker exactly.
-        scalar = _core_snapshot(1, "qarma", "xalancbmk", 400, 60)
-        batched = _core_snapshot(4096, "qarma", "xalancbmk", 400, 60)
+        scalar = _core_snapshot(1, mac, workload, mem_ops, warmup, prefault)
+        batched = _core_snapshot(batch, mac, workload, mem_ops, warmup, prefault)
         assert batched == scalar
 
     @needs_numpy
     def test_walk_heavy_profile_matches_scalar(self):
-        # The synthetic TLB-thrashing profile drives the inline-walk path
-        # hard (nearly every access walks); scalar equivalence here is
-        # the correctness side of the batched walk path's speedup. Under
-        # qarma every walked PTE line also goes through the bulk-tag
-        # priming.
+        # The synthetic TLB-thrashing profile misses the TLB on nearly
+        # every access, so nearly every batched record leaves the fused
+        # loop for the scalar walker: prefaulted, each walk completes;
+        # demand-paged, first touches fault mid-batch and retry. Under
+        # qarma every walked PTE line pays the scalar MAC.
         for mac in ("blake2", "qarma"):
-            scalar = _core_snapshot(1, mac, "walkheavy", 400, 0)
-            batched = _core_snapshot(4096, mac, "walkheavy", 400, 0)
-            assert batched == scalar, mac
+            for prefault in (True, False):
+                scalar = _core_snapshot(1, mac, "walkheavy", 400, 0, prefault)
+                batched = _core_snapshot(4096, mac, "walkheavy", 400, 0, prefault)
+                assert batched == scalar, (mac, prefault)
 
 
 # -- sampled batched-vs-scalar differential oracle ----------------------------

@@ -59,7 +59,6 @@ def _machine_state(system):
         "epoch": system.guard.epoch if system.guard else None,
         "computations": engine.computations if engine else None,
         "engine_stats": engine.stats.as_dict() if engine else None,
-        "bulk_hints": dict(engine._bulk_tags or {}) if engine else None,
     }
 
 

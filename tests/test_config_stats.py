@@ -6,7 +6,9 @@ from repro.common.config import (
     CacheConfig,
     DRAMConfig,
     PTGuardConfig,
+    DEFAULT_BATCH_SIZE,
     SystemConfig,
+    batch_size,
     optimized_ptguard_config,
 )
 from repro.common.errors import ConfigurationError
@@ -116,3 +118,25 @@ class TestStats:
         assert ratio(1, 2) == 0.5
         assert ratio(1, 0) == 0.0
         assert per_kilo(5, 1000) == 5.0
+
+
+class TestBatchSizeKnob:
+    def test_values(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BATCH", raising=False)
+        assert batch_size() == DEFAULT_BATCH_SIZE
+        cases = (("", DEFAULT_BATCH_SIZE), ("64", 64), ("1", 1), ("0", 0), ("-5", 0))
+        for raw, expected in cases:
+            monkeypatch.setenv("REPRO_BATCH", raw)
+            assert batch_size() == expected, raw
+
+    def test_unparsable_value_warns_and_keeps_the_default(self, monkeypatch, caplog):
+        # The same parser as REPRO_WORKERS: a typo must not silently pick
+        # a loop, it warns and runs the default batched loop.
+        for garbage in ("abc", "4k", "1.5"):
+            monkeypatch.setenv("REPRO_BATCH", garbage)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="repro.common.config"):
+                assert batch_size() == DEFAULT_BATCH_SIZE
+            assert [r.getMessage() for r in caplog.records] == [
+                f"ignoring unparsable REPRO_BATCH={garbage!r}"
+            ]
