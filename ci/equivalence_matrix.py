@@ -10,7 +10,6 @@ still misses the golden digest.
 
 The path axes (``AXES``):
 
-* core -- ``scalar`` (``REPRO_BATCH=1``) or ``batched`` (the default);
 * boot -- ``snapshot`` (the default) or ``cold`` (``REPRO_BOOT_SNAPSHOT=0``);
 * backend -- ``inprocess`` or ``process-pool``;
 * cache -- ``cold`` (``--no-cache``), ``warm`` (run, then rerun against
@@ -63,7 +62,6 @@ SIEGE_SNAPSHOT = "siege --scale 0.25"
 FRONTIER_SNAPSHOT = "frontier --scale 0.25"
 
 AXES: Dict[str, Tuple[str, ...]] = {
-    "core": ("scalar", "batched"),
     "boot": ("snapshot", "cold"),
     "backend": ("inprocess", "process-pool"),
     "cache": ("cold", "warm", "resumed", "recovered"),
@@ -81,35 +79,34 @@ RUN_TIMEOUT_S = 900
 @dataclass(frozen=True)
 class Point:
     identity: str
-    core: str
     boot: str
     backend: str
     cache: str
 
     def __str__(self) -> str:
         return (
-            f"[{self.identity}] core={self.core} boot={self.boot} "
+            f"[{self.identity}] boot={self.boot} "
             f"backend={self.backend} cache={self.cache}"
         )
 
 
 POINTS: Tuple[Point, ...] = (
-    Point(FIG6, "batched", "cold", "inprocess", "cold"),
-    Point(FIG6, "scalar", "snapshot", "process-pool", "cold"),
-    Point(WALK, "scalar", "cold", "inprocess", "warm"),
-    Point(WALK, "batched", "cold", "process-pool", "warm"),
-    Point(FRONTIER, "scalar", "snapshot", "inprocess", "warm"),
-    Point(SERVED, "batched", "cold", "inprocess", "resumed"),
-    Point(CAMPAIGN, "scalar", "cold", "process-pool", "resumed"),
-    Point(SIEGE, "batched", "snapshot", "inprocess", "resumed"),
-    Point(SERVED, "batched", "snapshot", "inprocess", "recovered"),
-    Point(SERVED, "scalar", "cold", "process-pool", "recovered"),
-    Point(CAMPAIGN, "batched", "snapshot", "inprocess", "cold"),
-    Point(SIEGE, "scalar", "cold", "process-pool", "warm"),
-    Point(FRONTIER, "batched", "cold", "process-pool", "cold"),
-    Point(SERVED, "batched", "snapshot", "process-pool", "warm"),
-    Point(SIEGE_SNAPSHOT, "batched", "snapshot", "process-pool", "cold"),
-    Point(FRONTIER_SNAPSHOT, "scalar", "snapshot", "process-pool", "cold"),
+    Point(FIG6, "cold", "inprocess", "cold"),
+    Point(FIG6, "snapshot", "process-pool", "cold"),
+    Point(WALK, "cold", "inprocess", "warm"),
+    Point(WALK, "cold", "process-pool", "warm"),
+    Point(FRONTIER, "snapshot", "inprocess", "warm"),
+    Point(SERVED, "cold", "inprocess", "resumed"),
+    Point(CAMPAIGN, "cold", "process-pool", "resumed"),
+    Point(SIEGE, "snapshot", "inprocess", "resumed"),
+    Point(SERVED, "snapshot", "inprocess", "recovered"),
+    Point(SERVED, "cold", "process-pool", "recovered"),
+    Point(CAMPAIGN, "snapshot", "inprocess", "cold"),
+    Point(SIEGE, "cold", "process-pool", "warm"),
+    Point(FRONTIER, "cold", "process-pool", "cold"),
+    Point(SERVED, "snapshot", "process-pool", "warm"),
+    Point(SIEGE_SNAPSHOT, "snapshot", "process-pool", "cold"),
+    Point(FRONTIER_SNAPSHOT, "snapshot", "process-pool", "cold"),
 )
 
 
@@ -164,13 +161,11 @@ def digest(report: str) -> str:
 
 def point_env(point: Point, cache_dir: pathlib.Path) -> Dict[str, str]:
     """A clean environment: no inherited ``REPRO_*`` knob, the point's
-    core and boot choices, and a private cache (results and snapshots)."""
+    boot choice, and a private cache (results and snapshots)."""
     env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
     source = str(REPO / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     env["REPRO_CACHE_DIR"] = str(cache_dir)
-    if point.core == "scalar":
-        env["REPRO_BATCH"] = "1"
     if point.boot == "cold":
         env["REPRO_BOOT_SNAPSHOT"] = "0"
     return env

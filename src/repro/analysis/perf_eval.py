@@ -26,19 +26,6 @@ from repro.harness.parallel import ResultCache, SimJob, guard_config_params, run
 from repro.harness.system import COLD_BASE, HOT_BASE, build_system
 
 
-@dataclass(frozen=True)
-class WorkloadRun:
-    """One (workload, configuration) timing result."""
-
-    workload: str
-    configuration: str  # "baseline" | "ptguard" | "optimized"
-    result: CoreResult
-
-    @property
-    def ipc(self) -> float:
-        return self.result.ipc
-
-
 @dataclass
 class Figure6Row:
     """One workload's Fig-6 datapoint."""

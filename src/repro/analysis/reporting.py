@@ -32,10 +32,6 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def format_percent(value: float, digits: int = 2) -> str:
-    return f"{value:.{digits}f}%"
-
-
 def banner(title: str, width: int = 72) -> str:
     """Section banner for bench output."""
     pad = max(0, width - len(title) - 4)

@@ -19,7 +19,7 @@ hardware, and flips materialise in physical memory via the fault model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.dram.device import DRAMDevice
 from repro.dram.rowhammer import BitFlip, RowKey
@@ -138,9 +138,3 @@ class HammerAttack:
         rows = [self._row_key(victim_row - 2, bank), self._row_key(victim_row + 2, bank)]
         activations = self._hammer_set(rows, iterations)
         return self._report("half-double", activations, before)
-
-    def hammer_rows(self, rows: Sequence[RowKey], iterations: int) -> HammerReport:
-        """Free-form pattern (for custom experiments)."""
-        before = self._flips_before()
-        activations = self._hammer_set(list(rows), iterations)
-        return self._report("custom", activations, before)

@@ -16,7 +16,7 @@ refuse to install a line that failed its integrity check (Sec IV-F:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from repro.common.config import CACHELINE_BYTES, SystemConfig
 from repro.common.stats import StatGroup
@@ -147,9 +147,10 @@ class CacheHierarchy:
     def read(self, address: int, is_pte: bool = False) -> AccessResult:
         """Read one line; returns data, latency and where it hit.
 
-        The level probes are unrolled (L1 → L2 → L3 → DRAM): this is the
-        single hottest function of a simulation, and the generic loop costs
-        an indexing + frame per level per access.
+        Probes L1, then continues in :meth:`read_below_l1`. Page walks,
+        OS stores, write-allocate fetches and the multicore model read
+        through here; ``InOrderCore.run`` inlines this L1 probe and calls
+        :meth:`read_below_l1` directly.
         """
         address = address & ~(CACHELINE_BYTES - 1)
         counters = self._counters
@@ -165,10 +166,10 @@ class CacheHierarchy:
     def read_below_l1(self, address: int, is_pte: bool) -> AccessResult:
         """Continue a read that missed L1: probe L2, then L3 and DRAM.
 
-        The one L1-miss path of both core loops: :meth:`read` calls it
-        after its L1 probe, and the batched execution core
-        (:mod:`repro.cpu.batch_core`) after its inline L1 probe, so the
-        two loops are outcome-identical by construction. An L2 hit refills
+        The one L1-miss path: :meth:`read` calls it after its L1 probe,
+        and ``InOrderCore.run`` after its inline L1 probe (for reads and
+        write-allocate fetches alike), so the core loop and every other
+        reader of the hierarchy agree by construction. An L2 hit refills
         L1 and pushes a dirty L1 victim down. ``address`` must already be
         line-aligned; the returned latency includes the L1 probe.
         """

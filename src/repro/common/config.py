@@ -24,8 +24,6 @@ PAGE_BYTES = 4 * KIB
 PTE_BYTES = 8
 PTES_PER_LINE = CACHELINE_BYTES // PTE_BYTES  # 8
 
-DEFAULT_BATCH_SIZE = 4096
-
 logger = logging.getLogger(__name__)
 
 
@@ -39,23 +37,6 @@ def env_int(name: str, default: int) -> int:
         except ValueError:
             logger.warning("ignoring unparsable %s=%r", name, env)
     return default
-
-
-def batch_size(default: int = DEFAULT_BATCH_SIZE) -> int:
-    """Execution batch size from the ``REPRO_BATCH`` environment variable.
-
-    :meth:`repro.cpu.core.InOrderCore.run` replays trace records in
-    batches of this many accesses through the fused loop
-    (:mod:`repro.cpu.batch_core`); ``0`` or ``1`` selects the scalar
-    reference loop (also forced when numpy is unavailable). The two paths
-    are bit-identical — the knob exists for differential testing
-    (``--batch-size`` on the CLI, the scalar points of
-    ``ci/equivalence_matrix.py``) and for bisecting, not for tuning
-    results. Unset values fall back to ``default``; unparsable ones
-    warn and fall back too (:func:`env_int`).
-    """
-    value = env_int("REPRO_BATCH", default)
-    return value if value > 0 else 0
 
 
 def boot_snapshot_enabled() -> bool:

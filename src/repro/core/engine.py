@@ -107,11 +107,6 @@ class MACEngine:
         self._oracle_period = sample_period
         self._oracle_countdown = 1  # check the very next computation
 
-    def detach_oracle(self) -> None:
-        self._oracle = None
-        self._oracle_period = 0
-        self._oracle_countdown = 0
-
     def _check_oracle(self, masked: int, address: int, tag: int) -> None:
         expected = self._oracle(masked.to_bytes(CACHELINE_BYTES, "little"), address)
         self.stats.increment("oracle_checks")

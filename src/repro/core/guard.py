@@ -404,10 +404,6 @@ class PTGuard:
         self._incident_ticks.clear()
         self._last_adaptive_tick = None
 
-    def disarm_adaptive_rekey(self) -> None:
-        self._rekey_threshold = None
-        self._incident_ticks.clear()
-
     def record_incident(self) -> bool:
         """Advance the incident clock by one detected-uncorrectable fault.
 
@@ -441,10 +437,6 @@ class PTGuard:
         self.stats.increment("adaptive_rekey_triggers")
         return True
 
-    @property
-    def incident_clock(self) -> int:
-        return self._incident_clock
-
     # -- runtime validation (repro.faults.invariants) ---------------------------
 
     def build_reference_mac(self):
@@ -467,10 +459,6 @@ class PTGuard:
         the reference path; stays armed across :meth:`rekey`."""
         self._oracle_period = sample_period
         self.engine.attach_oracle(self.build_reference_mac().compute, sample_period)
-
-    def disarm_differential_oracle(self) -> None:
-        self._oracle_period = None
-        self.engine.detach_oracle()
 
     @property
     def epoch(self) -> int:

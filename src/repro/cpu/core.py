@@ -8,6 +8,17 @@ MAC latency), then performs the data access. L1 hits are considered
 pipelined (no stall); deeper hits and DRAM accesses stall the core for
 their full latency — the blocking in-order model whose slowdowns the
 paper itself calls pessimistic.
+
+:meth:`InOrderCore.run` is one loop that draws each record with
+``next_record()`` and inlines the common case — TLB hit, L1 hit, L1
+write hit — as plain dict operations with the side effects of
+``TLB.lookup``, ``Cache.lookup`` and ``Cache.write_hit`` (counters, LRU
+``move_to_end`` order). Everything else calls the one implementation
+the rest of the simulator uses: a TLB miss takes :meth:`_translate`
+(``PageWalker.translate``, demand-paging faults and integrity failures
+included) and an L1 miss takes ``CacheHierarchy.read_below_l1``.
+:meth:`_execute` is the per-access reference the multicore model runs
+and ``tests/test_batch_equivalence.py`` compares the loop against.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.config import CACHELINE_BYTES, PAGE_BYTES, SystemConfig, batch_size
+from repro.common.config import CACHELINE_BYTES, PAGE_BYTES
 from repro.common.errors import PageFaultError
 from repro.common.stats import StatGroup, per_kilo
 from repro.cache.hierarchy import CacheHierarchy
@@ -23,12 +34,6 @@ from repro.cpu.trace import TraceGenerator, region_pages
 from repro.mmu.walker import PageWalker
 from repro.os.kernel import Kernel
 from repro.os.process import Process
-
-try:  # the fused batch loop needs numpy; fall back to the scalar loop
-    from repro.cpu import batch_core as _batch_core
-except ImportError:  # pragma: no cover - numpy-less host
-    _batch_core = None
-
 
 @dataclass(frozen=True)
 class CoreResult:
@@ -114,30 +119,184 @@ class InOrderCore:
     def run(self, trace: TraceGenerator, mem_ops: int, warmup_ops: int = 0) -> CoreResult:
         """Execute ``warmup_ops`` untimed then ``mem_ops`` timed accesses.
 
-        Records are replayed through the fused batch loop
-        (:mod:`repro.cpu.batch_core`) unless ``REPRO_BATCH`` selects the
-        scalar reference loop (or numpy is unavailable) — the two paths
-        produce bit-identical results. Both reach the memory system
-        through the same two functions: :meth:`_translate` on a TLB miss
-        and :meth:`CacheHierarchy.read_below_l1` on an L1 miss.
+        Hot counters accumulate in locals and are added to the stat dicts
+        in ``finally``, so they compose with the increments the miss paths
+        make directly. ``hierarchy.cycle`` is written only before a miss
+        path that can reach the memory controller, with the value a
+        per-record write would have left (the end of the previous record).
+        A record is drawn before it executes, so an exception
+        (``PTEIntegrityException``, ``InvariantViolation``, ...) leaves the
+        trace just after the failing record, with its front-end charge
+        applied and every counter flushed.
         """
-        batch = batch_size()
-        if batch > 1 and _batch_core is not None:
-            return _batch_core.run_batched(self, trace, mem_ops, warmup_ops, batch)
-        for _ in range(warmup_ops):
-            record = trace.next_record()
-            self._execute(record.virtual_address, record.is_write)
-
+        if warmup_ops:
+            self._run_window(trace.next_record, warmup_ops, timed=False)
         start_cycles, start_instructions = self._reset_window()
-        next_record = trace.next_record
-        execute = self._execute
-        for _ in range(mem_ops):
-            instructions, virtual_address, is_write = next_record()
-            self.instructions += instructions + 1  # +1 for the mem op
-            self.cycles += instructions
-            execute(virtual_address, is_write, timed=True)
+        self._run_window(trace.next_record, mem_ops, timed=True)
         self.mem_ops += mem_ops
         return self._result(start_cycles, start_instructions)
+
+    def _run_window(self, next_record, count: int, timed: bool) -> None:
+        hierarchy = self.hierarchy
+        walker_tlb = self.walker.tlb
+        asid = self.process.asid
+        translate = self._translate
+        l1_hit_latency = self.l1_hit_latency
+
+        # Inlined-structure handles: TLB.lookup, Cache.lookup and
+        # Cache.write_hit are replicated below; a change there must be
+        # mirrored here (tests/test_batch_equivalence.py catches a drift).
+        tlb_get = walker_tlb._entries.get
+        tlb_move = walker_tlb._entries.move_to_end
+        l1 = hierarchy.l1
+        l1_sets = l1._sets
+        l1_mask = l1._set_mask
+        l1_bits = l1._set_bits
+        l1_fill = l1.fill
+        handle_victim = hierarchy._handle_victim
+        read_below_l1 = hierarchy.read_below_l1
+        payload_cache = _PAYLOAD_CACHE
+        lat1 = hierarchy._lat1
+
+        line_mask = ~(CACHELINE_BYTES - 1)
+        page_mask = PAGE_BYTES - 1
+
+        tlb_hits = 0
+        l1_hits = 0
+        l1_misses = 0
+        reads = 0
+        writes = 0
+
+        cycles = self.cycles
+        prev_end = cycles  # the hierarchy.cycle the controller must see
+        instr_acc = 0
+        try:
+            if timed:
+                for _ in range(count):
+                    gap, virtual_address, is_write = next_record()
+                    # Front-end charge: gap instructions + the mem op itself.
+                    instr_acc += gap + 1
+                    cycles += gap
+
+                    key = (asid, virtual_address >> 12)
+                    entry = tlb_get(key)
+                    if entry is not None:
+                        tlb_hits += 1
+                        tlb_move(key)
+                        physical = entry.pfn * PAGE_BYTES + (virtual_address & page_mask)
+                    else:
+                        # _translate re-probes (counting the miss), walks,
+                        # and adds the walk stall to self.cycles.
+                        hierarchy.cycle = prev_end
+                        self.cycles = cycles
+                        physical = translate(virtual_address, True)
+                        cycles = self.cycles
+
+                    line_address = physical & line_mask
+                    la = line_address >> 6  # Cache._offset_bits is log2(64)
+                    tag1 = la >> l1_bits
+                    lines = l1_sets.get(la & l1_mask)
+                    line = None if lines is None else lines.get(tag1)
+                    if is_write:
+                        writes += 1
+                        payload = payload_cache.get(line_address)
+                        if payload is None:
+                            payload = _store_payload(line_address)
+                        if line is not None:
+                            # Cache.write_hit in place; L1 latency, no stall.
+                            line.data = payload
+                            line.dirty = True
+                            lines.move_to_end(tag1)
+                        else:
+                            # CacheHierarchy.write's write-allocate: fetch
+                            # (counting the read and its L1 miss), then
+                            # dirty the line into L1.
+                            hierarchy.cycle = prev_end
+                            reads += 1
+                            l1_misses += 1
+                            read_latency = read_below_l1(line_address, False).latency_cycles
+                            victim = l1_fill(line_address, payload, dirty=True)
+                            if victim is not None and victim.dirty:
+                                handle_victim(victim, 0)
+                            stall = lat1 + read_latency - l1_hit_latency
+                            if stall > 0:
+                                cycles += stall
+                    else:
+                        reads += 1
+                        if line is not None:
+                            l1_hits += 1
+                            lines.move_to_end(tag1)  # pipelined: no stall
+                        else:
+                            hierarchy.cycle = prev_end
+                            l1_misses += 1
+                            stall = (
+                                read_below_l1(line_address, False).latency_cycles
+                                - l1_hit_latency
+                            )
+                            if stall > 0:
+                                cycles += stall
+                    prev_end = cycles
+            else:
+                # Untimed warmup: the same accesses, no cycle accounting
+                # and no hierarchy.cycle writes.
+                for _ in range(count):
+                    _gap, virtual_address, is_write = next_record()
+                    key = (asid, virtual_address >> 12)
+                    entry = tlb_get(key)
+                    if entry is not None:
+                        tlb_hits += 1
+                        tlb_move(key)
+                        physical = entry.pfn * PAGE_BYTES + (virtual_address & page_mask)
+                    else:
+                        physical = translate(virtual_address, False)
+
+                    line_address = physical & line_mask
+                    la = line_address >> 6
+                    tag1 = la >> l1_bits
+                    lines = l1_sets.get(la & l1_mask)
+                    line = None if lines is None else lines.get(tag1)
+                    if is_write:
+                        writes += 1
+                        payload = payload_cache.get(line_address)
+                        if payload is None:
+                            payload = _store_payload(line_address)
+                        if line is not None:
+                            line.data = payload
+                            line.dirty = True
+                            lines.move_to_end(tag1)
+                        else:
+                            reads += 1
+                            l1_misses += 1
+                            read_below_l1(line_address, False)
+                            victim = l1_fill(line_address, payload, dirty=True)
+                            if victim is not None and victim.dirty:
+                                handle_victim(victim, 0)
+                    else:
+                        reads += 1
+                        if line is not None:
+                            l1_hits += 1
+                            lines.move_to_end(tag1)
+                        else:
+                            l1_misses += 1
+                            read_below_l1(line_address, False)
+        finally:
+            if timed:
+                self.instructions += instr_acc
+                self.cycles = cycles
+                hierarchy.cycle = prev_end
+            counters = walker_tlb._counters
+            if tlb_hits:
+                counters["hits"] = counters.get("hits", 0) + tlb_hits
+            counters = l1._counters
+            if l1_hits:
+                counters["hits"] = counters.get("hits", 0) + l1_hits
+            if l1_misses:
+                counters["misses"] = counters.get("misses", 0) + l1_misses
+            counters = hierarchy._counters
+            if reads:
+                counters["reads"] = counters.get("reads", 0) + reads
+            if writes:
+                counters["writes"] = counters.get("writes", 0) + writes
 
     def _reset_window(self) -> tuple[int, int]:
         self._window_stats = {

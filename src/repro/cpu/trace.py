@@ -143,10 +143,6 @@ class TraceGenerator:
             self._cold_cursor = (self._cold_cursor + 1) % lines
         return self.regions.cold_base + index * CACHELINE_BYTES
 
-    def pages_touched(self) -> TraceRegions:
-        return self.regions
-
-
 def region_pages(regions: TraceRegions) -> Iterator[int]:
     """Every page base VA a trace may touch (for prefaulting)."""
     for offset in range(0, regions.hot_bytes, PAGE_BYTES):

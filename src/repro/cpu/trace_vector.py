@@ -1,5 +1,8 @@
 """Vectorized, bit-exact replay of :class:`TraceGenerator` streams.
 
+Kept only for the perfbench tracer's ``cpu.next_batch`` span: no simulator
+module imports it, and it goes together with that span.
+
 ``TraceGenerator.next_record`` consumes entropy from a CPython
 ``random.Random`` in a fixed draw order (the reproducibility contract
 documented in :mod:`repro.cpu.trace`). This module replays that exact

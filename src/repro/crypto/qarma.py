@@ -416,14 +416,6 @@ class Qarma:
         second = (cell >> (n - 2)) & 1 if n == 4 else (cell >> 2) & 1
         return ((cell << 1) & self._cell_mask) | (top ^ second)
 
-    def _lfsr_inv(self, cell: int) -> int:
-        n = self.cell_bits
-        low = cell & 1
-        shifted = cell >> 1
-        second = (shifted >> (n - 2)) & 1 if n == 4 else (shifted >> 2) & 1
-        top = low ^ second
-        return shifted | (top << (n - 1))
-
     def _tweak_schedule(self, tweak: int) -> List[List[int]]:
         """Materialise the per-round tweak states for the forward pass."""
         cells = self._to_cells(tweak & ((1 << self.block_bits) - 1))

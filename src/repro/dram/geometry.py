@@ -31,11 +31,6 @@ class DRAMCoordinate:
     column: int
 
     @property
-    def bank_key(self) -> tuple[int, int, int]:
-        """Globally unique bank identity (channel, rank, bank)."""
-        return (self.channel, self.rank, self.bank)
-
-    @property
     def row_key(self) -> tuple[int, int, int, int]:
         """Globally unique row identity (channel, rank, bank, row)."""
         return (self.channel, self.rank, self.bank, self.row)

@@ -162,14 +162,6 @@ class RowhammerModel:
         """Whether this cell can ever flip (fixed per seed)."""
         return bit in self._cells_of_line(row_key, line_index)
 
-    def cell_is_true_cell(self, row_key: RowKey, line_index: int, bit: int) -> bool:
-        """True cells discharge 1 -> 0; anti cells charge 0 -> 1.
-
-        Only meaningful for vulnerable cells; invulnerable cells report a
-        polarity too (False) but never flip.
-        """
-        return self._cells_of_line(row_key, line_index).get(bit, False)
-
     # -- disturbance bookkeeping -------------------------------------------
 
     def _deposit(self, row_key: RowKey) -> None:

@@ -501,11 +501,3 @@ def run_campaign(
         for scenario in chosen
     ]
     return CampaignResult(cells=run_jobs(jobs, workers=workers, cache=cache))
-
-
-def encode_campaign_cell(cell: CampaignCell) -> dict:
-    return asdict(cell)
-
-
-def decode_campaign_cell(payload: dict) -> CampaignCell:
-    return CampaignCell(**payload)

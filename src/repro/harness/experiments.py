@@ -13,7 +13,6 @@ full scale.
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 from repro.analysis import (
@@ -34,14 +33,6 @@ from repro.core import security
 from repro.core.guard import PTGuard
 from repro.harness.parallel import ResultCache
 from repro.mmu.pte import ARMV8_LAYOUT, X86_64_LAYOUT
-
-
-def env_scale(default: float = 1.0) -> float:
-    """Scale factor from the REPRO_SCALE environment variable."""
-    try:
-        return float(os.environ.get("REPRO_SCALE", default))
-    except ValueError:
-        return default
 
 
 def scaled_process_count(

@@ -138,15 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "REPRO_VALIDATE=1",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="execution batch size for the fused simulation core "
-        "(default: REPRO_BATCH or 4096; 1 = scalar reference loop). "
-        "Batched and scalar runs produce bit-identical reports",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="run under cProfile and print the top-25 cumulative-time "
@@ -423,12 +414,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         set_validation(True)
         os.environ["REPRO_VALIDATE"] = "1"  # propagate to pool workers
-
-    if args.batch_size is not None:
-        if args.batch_size < 0:
-            parser.error("--batch-size must be >= 0")
-        # Through the environment so pool workers inherit it too.
-        os.environ["REPRO_BATCH"] = str(args.batch_size)
 
     if args.serve and args.no_cache:
         parser.error("--serve stores results in per-tenant caches (drop --no-cache)")

@@ -55,10 +55,6 @@ class X86PageTableEntry:
         return bool(bit(self.raw, X86_FLAG_WRITE_THROUGH))
 
     @property
-    def cache_disabled(self) -> bool:
-        return bool(bit(self.raw, X86_FLAG_CACHE_DISABLE))
-
-    @property
     def accessed(self) -> bool:
         return bool(bit(self.raw, X86_FLAG_ACCESSED))
 

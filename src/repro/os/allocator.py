@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.common.bitops import is_pow2
 from repro.common.errors import AllocationError
 
 MAX_ORDER = 10  # largest block: 2^10 pages = 4 MB
@@ -105,9 +104,6 @@ class BuddyAllocator:
     @property
     def allocated_pages_count(self) -> int:
         return sum(1 << order for order in self._allocated.values())
-
-    def is_allocated(self, pfn: int) -> bool:
-        return (pfn - self.base_pfn) in self._allocated
 
     def fragmentation(self) -> float:
         """1 - (largest free block / total free): 0 = unfragmented."""

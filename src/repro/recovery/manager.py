@@ -179,17 +179,5 @@ class RecoveryManager:
 
     # -- accounting ----------------------------------------------------------
 
-    @property
-    def recovered_events(self) -> List[RecoveryEvent]:
-        return [event for event in self.events if event.recovered]
-
-    @property
-    def panic_events(self) -> List[RecoveryEvent]:
-        return [event for event in self.events if not event.recovered]
-
     def row_fault_count(self, row_key: RowKey) -> int:
         return self._row_faults.get(row_key, 0)
-
-    def latency_distribution(self) -> List[int]:
-        """Recovery latencies (cycles) of successful events, sorted."""
-        return sorted(event.latency_cycles for event in self.recovered_events)

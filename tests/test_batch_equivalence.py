@@ -1,27 +1,26 @@
-"""Batched execution is bit-identical to the scalar reference path.
+"""The fused core loop is bit-identical to the per-access reference.
 
 Derandomized hypothesis property tests (same discipline as
 ``test_property_roundtrips.py``: the example sequence is a pure function
-of the test code, so CI runs are byte-for-byte repeatable) covering the
-two vectorized layers — the vectorized trace-RNG replay and the fused
-batch execution core, prefaulted and demand-paged — plus a
-chaos+validate fault-injection campaign regression that pushes fault
-injection, runtime invariants and recovery through the batched core.
+of the test code, so CI runs are byte-for-byte repeatable) covering
+``InOrderCore.run`` against :func:`_reference_run` (one ``_execute`` per
+record), prefaulted and demand-paged, a mid-window integrity failure,
+and a chaos+validate fault-injection campaign. ``TestVectorTraceReplay``
+covers ``cpu/trace_vector.py``, which only the perfbench tracer uses.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import optimized_ptguard_config
-from repro.cpu.trace import TraceGenerator
+from repro.common.config import PTGuardConfig, optimized_ptguard_config
+from repro.cpu.trace import TraceGenerator, region_pages
 from repro.cpu.trace_vector import HAVE_NUMPY, VectorTraceReplayer
 from repro.cpu.workloads import WORKLOADS, get_workload
 from repro.harness.system import build_system
+from repro.mmu.walker import PTEIntegrityException
 
 DERANDOMIZED = settings(derandomize=True, max_examples=200, deadline=None)
 #: For properties whose single example builds a full system (expensive).
@@ -33,23 +32,6 @@ needs_numpy = pytest.mark.skipif(
 
 HOT_BASE = 1 << 30
 COLD_BASE = 1 << 35
-
-
-class _batch_env:
-    """Pin ``REPRO_BATCH`` for a block, restoring the ambient value."""
-
-    def __init__(self, batch: int):
-        self.batch = batch
-
-    def __enter__(self):
-        self.previous = os.environ.get("REPRO_BATCH")
-        os.environ["REPRO_BATCH"] = str(self.batch)
-
-    def __exit__(self, *exc):
-        if self.previous is None:
-            os.environ.pop("REPRO_BATCH", None)
-        else:
-            os.environ["REPRO_BATCH"] = self.previous
 
 
 # -- vectorized trace replay --------------------------------------------------
@@ -176,154 +158,146 @@ class TestVectorTraceReplay:
         assert vector._rng.getstate() == scalar._rng.getstate()
 
 
-# -- fused batch execution core ----------------------------------------------
+# -- the fused core loop -------------------------------------------------------
 
 
-def _core_snapshot(batch, mac, workload, mem_ops, warmup, prefault=True):
-    """Run one core window and capture everything it can touch.
+def _reference_run(core, trace, mem_ops, warmup_ops=0):
+    """The per-access loop ``InOrderCore.run`` must match: one
+    ``_execute`` per record, every counter updated in place."""
+    for _ in range(warmup_ops):
+        record = trace.next_record()
+        core._execute(record.virtual_address, record.is_write)
+    start_cycles, start_instructions = core._reset_window()
+    for _ in range(mem_ops):
+        instructions, virtual_address, is_write = trace.next_record()
+        core.instructions += instructions + 1  # +1 for the mem op
+        core.cycles += instructions
+        core._execute(virtual_address, is_write, timed=True)
+    core.mem_ops += mem_ops
+    return core._result(start_cycles, start_instructions)
 
-    ``prefault=False`` leaves the trace's pages unmapped, so batched TLB
-    misses take demand-paging faults mid-batch and retry the walk — the
+
+def _fused_run(core, trace, mem_ops, warmup_ops=0):
+    return core.run(trace, mem_ops=mem_ops, warmup_ops=warmup_ops)
+
+
+def _boot(mac, workload, prefault, ptguard=None):
+    system = build_system(
+        ptguard=ptguard or optimized_ptguard_config(), mac_algorithm=mac, seed=2023
+    )
+    process, trace = system.workload_process(get_workload(workload), seed=11)
+    core = system.new_core(process)
+    if prefault:
+        core.prefault(trace)
+    return system, process, core, trace
+
+
+def _state(system, core, trace):
+    """Everything a core window can touch."""
+    guard = system.controller.ptguard
+    return {
+        "cycles": core.cycles,
+        "instructions": core.instructions,
+        "hierarchy_cycle": core.hierarchy.cycle,
+        "hier": core.hierarchy.stats.as_dict(),
+        "l1": core.hierarchy.l1.stats.as_dict(),
+        "l2": core.hierarchy.l2.stats.as_dict(),
+        "l3": core.hierarchy.l3.stats.as_dict(),
+        "mmu": core.walker.mmu_cache.stats.as_dict(),
+        "tlb": core.walker.tlb.stats.as_dict(),
+        "walker": core.walker.stats.as_dict(),
+        "engine": guard.engine.stats.as_dict(),
+        "computations": guard.engine.computations,
+        "kernel": system.kernel.stats.as_dict(),
+        "rng": trace._rng.getstate(),
+        "tail": [tuple(trace.next_record()) for _ in range(3)],
+    }
+
+
+def _core_snapshot(run, mac, workload, mem_ops, warmup, prefault=True):
+    """Run one core window with ``run`` and capture its result and state.
+
+    ``prefault=False`` leaves the trace's pages unmapped, so TLB misses
+    take demand-paging faults mid-window and retry the walk — the
     regime of the CLI experiments and the benchmark.
     """
-    with _batch_env(batch):
-        system = build_system(
-            ptguard=optimized_ptguard_config(), mac_algorithm=mac, seed=2023
-        )
-        process, trace = system.workload_process(
-            get_workload(workload), seed=11
-        )
-        core = system.new_core(process)
-        if prefault:
-            core.prefault(trace)
-        result = core.run(trace, mem_ops=mem_ops, warmup_ops=warmup)
-        guard = system.controller.ptguard
-        return {
-            "result": result,
-            "cycles": core.cycles,
-            "instructions": core.instructions,
-            "hierarchy_cycle": core.hierarchy.cycle,
-            "hier": core.hierarchy.stats.as_dict(),
-            "l1": core.hierarchy.l1.stats.as_dict(),
-            "l2": core.hierarchy.l2.stats.as_dict(),
-            "l3": core.hierarchy.l3.stats.as_dict(),
-            "mmu": core.walker.mmu_cache.stats.as_dict(),
-            "tlb": core.walker.tlb.stats.as_dict(),
-            "walker": core.walker.stats.as_dict(),
-            "engine": guard.engine.stats.as_dict(),
-            "computations": guard.engine.computations,
-            "kernel": system.kernel.stats.as_dict(),
-            "rng": trace._rng.getstate(),
-            "tail": [tuple(trace.next_record()) for _ in range(3)],
+    system, _process, core, trace = _boot(mac, workload, prefault)
+    result = run(core, trace, mem_ops, warmup)
+    return {"result": result, **_state(system, core, trace)}
+
+
+def _failing_snapshot(run):
+    """Corrupt every 64th leaf PTE line of the cold region in DRAM, with
+    correction off, so a timed walk raises ``PTEIntegrityException``."""
+    system, process, core, trace = _boot(
+        "blake2", "walkheavy", True, PTGuardConfig(correction_enabled=False)
+    )
+    core.hierarchy.flush()
+    cold_lines = sorted(
+        {
+            process.page_table.leaf_entry_address(va) & ~63
+            for va in region_pages(trace.regions)
+            if va >= trace.regions.cold_base
         }
+    )
+    for line in cold_lines[::64]:
+        system.memory.flip_bits(line, (3, 17))
+    with pytest.raises(PTEIntegrityException):
+        run(core, trace, 400, 50)
+    return _state(system, core, trace)
 
 
 class TestBatchedCore:
-    @needs_numpy
     @DERANDOMIZED_SMALL
     @given(
         mac=st.sampled_from(["pseudo", "blake2"]),
         workload=st.sampled_from(["xalancbmk", "povray"]),
         mem_ops=st.integers(min_value=1, max_value=400),
         warmup=st.integers(min_value=0, max_value=120),
-        batch=st.sampled_from([2, 7, 64, 4096]),
         prefault=st.booleans(),
     )
     def test_line_ops_counters_and_results_match_scalar(
-        self, mac, workload, mem_ops, warmup, batch, prefault
+        self, mac, workload, mem_ops, warmup, prefault
     ):
-        scalar = _core_snapshot(1, mac, workload, mem_ops, warmup, prefault)
-        batched = _core_snapshot(batch, mac, workload, mem_ops, warmup, prefault)
-        assert batched == scalar
+        reference = _core_snapshot(_reference_run, mac, workload, mem_ops, warmup, prefault)
+        fused = _core_snapshot(_fused_run, mac, workload, mem_ops, warmup, prefault)
+        assert fused == reference
 
-    @needs_numpy
     def test_walk_heavy_profile_matches_scalar(self):
         # The synthetic TLB-thrashing profile misses the TLB on nearly
-        # every access, so nearly every batched record leaves the fused
-        # loop for the scalar walker: prefaulted, each walk completes;
-        # demand-paged, first touches fault mid-batch and retry. Under
-        # qarma every walked PTE line pays the scalar MAC.
+        # every access, so nearly every record leaves the inline path for
+        # the page walker: prefaulted, each walk completes; demand-paged,
+        # first touches fault and retry. Under qarma every walked PTE
+        # line pays the MAC.
         for mac in ("blake2", "qarma"):
             for prefault in (True, False):
-                scalar = _core_snapshot(1, mac, "walkheavy", 400, 0, prefault)
-                batched = _core_snapshot(4096, mac, "walkheavy", 400, 0, prefault)
-                assert batched == scalar, (mac, prefault)
+                reference = _core_snapshot(_reference_run, mac, "walkheavy", 400, 0, prefault)
+                fused = _core_snapshot(_fused_run, mac, "walkheavy", 400, 0, prefault)
+                assert fused == reference, (mac, prefault)
+
+    def test_mid_window_integrity_failure_leaves_reference_state(self):
+        # The failing record was drawn before it ran: the trace stands
+        # just after it, its front-end charge is applied and every
+        # locally accumulated counter is flushed, as in the reference.
+        reference = _failing_snapshot(_reference_run)
+        fused = _failing_snapshot(_fused_run)
+        assert reference["instructions"] > 0, "must fail inside the timed window"
+        assert fused == reference
 
 
-# -- sampled batched-vs-scalar differential oracle ----------------------------
-
-
-class TestReplayOracle:
-    """Under ``--validate`` the batch core arms a sampled differential
-    oracle (``cpu/batch_core.TraceReplayOracle``) that re-draws every
-    Nth batch with an independent scalar generator clone."""
-
-    def _validated(self):
-        from repro.faults import invariants
-
-        invariants.set_validation(True)
-        return invariants
-
-    @needs_numpy
-    def test_clean_run_is_checked_and_silent(self):
-        from repro.cpu import batch_core
-
-        invariants = self._validated()
-        try:
-            before = dict(batch_core.ORACLE_STATS.as_dict())
-            snapshot = _core_snapshot(64, "pseudo", "povray", 500, 100)
-        finally:
-            invariants.set_validation(None)
-        after = batch_core.ORACLE_STATS.as_dict()
-        assert after.get("batches_checked", 0) > before.get("batches_checked", 0)
-        assert after.get("violations", 0) == before.get("violations", 0)
-        # The oracle's clone never touches the live generator: the
-        # validated run is bit-identical to the unvalidated scalar one.
-        assert snapshot == _core_snapshot(1, "pseudo", "povray", 500, 100)
-
-    @needs_numpy
-    def test_corrupted_batch_is_caught(self):
-        from repro.common.errors import InvariantViolation
-        from repro.cpu.batch_core import TraceReplayOracle
-
-        trace = TraceGenerator(WORKLOADS[0], HOT_BASE, COLD_BASE, seed=7)
-        oracle = TraceReplayOracle(trace)
-        replayer = VectorTraceReplayer(trace)
-        before = oracle.snapshot()
-        instr, addr, write = replayer.next_batch(32)
-        addr = list(addr)
-        addr[5] ^= 64  # one mis-parsed address in an otherwise good batch
-        with pytest.raises(InvariantViolation, match="batched record 5"):
-            oracle.verify(before, (instr, addr, write))
-
-    @needs_numpy
-    def test_post_batch_state_divergence_is_caught(self):
-        from repro.common.errors import InvariantViolation
-        from repro.cpu.batch_core import TraceReplayOracle
-
-        trace = TraceGenerator(WORKLOADS[0], HOT_BASE, COLD_BASE, seed=7)
-        oracle = TraceReplayOracle(trace)
-        replayer = VectorTraceReplayer(trace)
-        before = oracle.snapshot()
-        batch = replayer.next_batch(32)
-        trace.next_record()  # live generator drifts past the batch boundary
-        with pytest.raises(InvariantViolation, match="state diverged"):
-            oracle.verify(before, batch)
-
-
-# -- chaos + validate campaign through the batched core -----------------------
+# -- chaos + validate campaign ------------------------------------------------
 
 
 class TestChaosValidateCampaign:
-    """Fault injection, ``--validate`` invariants and recovery must all
-    operate (and agree with the scalar path) under batching: campaign
-    cells inject mid-trial faults — exceptions unwind the fused loop —
-    while the runtime invariant checker cross-checks every outcome."""
+    """Fault injection, ``--validate`` invariants and recovery must give
+    one report serially and on a chaotic process pool: campaign cells
+    inject mid-trial faults while the runtime invariant checker
+    cross-checks every outcome."""
 
     SCENARIOS = ("pte_single", "mac_single", "burst")
     TRIALS = 6
 
-    def _campaign(self, batch, workers=1, cache=None, policy=None):
+    def _campaign(self, workers=1, cache=None, policy=None):
         from repro.analysis.fault_matrix import (
             format_fault_matrix,
             run_fault_matrix,
@@ -331,28 +305,23 @@ class TestChaosValidateCampaign:
         from repro.harness.parallel import execution_policy, get_execution_policy
         from repro.recovery.policy import recovery_policy
 
-        with _batch_env(batch):
-            with execution_policy(policy or get_execution_policy()):
-                result = run_fault_matrix(
-                    scenarios=self.SCENARIOS,
-                    trials_per_cell=self.TRIALS,
-                    validate=True,
-                    workers=workers,
-                    cache=cache,
-                    recovery=recovery_policy("full").as_params(),
-                )
+        with execution_policy(policy or get_execution_policy()):
+            result = run_fault_matrix(
+                scenarios=self.SCENARIOS,
+                trials_per_cell=self.TRIALS,
+                validate=True,
+                workers=workers,
+                cache=cache,
+                recovery=recovery_policy("full").as_params(),
+            )
         return format_fault_matrix(result)
-
-    def test_batched_campaign_matches_scalar(self):
-        assert self._campaign(4096) == self._campaign(1)
 
     def test_chaotic_pooled_campaign_matches_serial_batched(self, tmp_path):
         from repro.harness.chaos import ChaosPolicy
         from repro.harness.parallel import ExecutionPolicy, ResultCache
 
-        serial = self._campaign(4096)
+        serial = self._campaign()
         chaotic = self._campaign(
-            4096,
             workers=2,
             cache=ResultCache(tmp_path),
             policy=ExecutionPolicy(

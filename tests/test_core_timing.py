@@ -75,3 +75,44 @@ class TestGuardTiming:
         guarded = run("povray", PTGuardConfig())
         slowdown = base.ipc / guarded.ipc - 1
         assert slowdown < 0.01  # paper: <1% below 5 MPKI
+
+
+class TestNumpyFree:
+    """The simulator runs on the standard library alone; numpy is only
+    the perfbench tracer's (``cpu/trace_vector.py``)."""
+
+    def _python(self, code):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        source = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        done = self._python(
+            "import sys\n"
+            "import repro.harness.experiments, repro.service, repro.analysis.frontier_eval\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_core_window_runs_without_numpy(self):
+        done = self._python(
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.cpu.workloads import get_workload\n"
+            "from repro.harness.system import build_system\n"
+            "system = build_system(mac_algorithm='pseudo')\n"
+            "process, trace = system.workload_process(get_workload('povray'), seed=1)\n"
+            "result = system.new_core(process).run(trace, mem_ops=50)\n"
+            "print(result.mem_ops)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "50"

@@ -75,10 +75,6 @@ def _uninterrupted(point):
 @pytest.mark.parametrize(
     "name, identity, side_a, side_b",
     [
-        ("fig6 scalar<->batched", "FIG6",
-         lambda p: p.core == "scalar", lambda p: p.core == "batched"),
-        ("walk-heavy scalar<->batched", "WALK",
-         lambda p: p.core == "scalar", lambda p: p.core == "batched"),
         ("fig6 cold boot<->snapshot", "FIG6",
          lambda p: p.boot == "cold", lambda p: p.boot == "snapshot"),
         ("direct<->served", "SERVED",
