@@ -12,16 +12,21 @@ Figure 5) so DRAM reads triggered by page-table walks are MAC-checked.
 The hierarchy surfaces ``pte_check_failed`` from the controller — caches
 refuse to install a line that failed its integrity check (Sec IV-F:
 "the caches do not install the line").
+
+Below L1 there is one read path, :meth:`CacheHierarchy.read_below_l1`,
+and one fill-and-victim cascade, :meth:`CacheHierarchy._fill`, which
+every install and every dirty-victim push goes through.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import NamedTuple, Optional
 
 from repro.common.config import CACHELINE_BYTES, SystemConfig
 from repro.common.stats import StatGroup
-from repro.cache.cache import Cache, EvictedLine
-from repro.mem.controller import MemoryController, MemoryRequest, MemoryResponse
+from repro.cache.cache import Cache, CacheLine
+from repro.mem.controller import MemoryController, MemoryResponse
 
 
 class AccessResult(NamedTuple):
@@ -38,9 +43,9 @@ class SharedLLCAdapter:
 
     Multi-core systems give each core a private L1/L2
     :class:`CacheHierarchy` whose "controller" is this adapter: reads
-    probe the shared LLC first and only misses reach the real memory
-    controller (and PT-Guard); write-backs land in the LLC and spill to
-    DRAM on eviction.
+    (:meth:`read`) probe the shared LLC first and only misses reach the
+    real memory controller (and PT-Guard); write-backs land in the LLC and
+    spill to DRAM on eviction.
     """
 
     def __init__(self, llc: Cache, controller: MemoryController, hit_latency: int):
@@ -61,13 +66,6 @@ class SharedLLCAdapter:
         """:meth:`discard` every line of the set ``addresses``."""
         self.llc.discard_lines(addresses)
 
-    def access(self, request: MemoryRequest):
-        if request.is_write:
-            return self.write_access(
-                request.address, request.data, request.cycle, request.origin
-            )
-        return self.read_access(request.address, request.is_pte, request.cycle)
-
     def write_access(
         self,
         address: int,
@@ -81,26 +79,19 @@ class SharedLLCAdapter:
             self.controller.write_access(victim.address, victim.data, cycle, self)
         return self._write_response
 
-    def read_access(
-        self, address: int, is_pte: bool = False, cycle: int = 0
-    ) -> MemoryResponse:
+    def read(self, address: int, is_pte: bool = False, cycle: int = 0):
+        """:meth:`MemoryController.read` through the shared LLC; returns
+        ``(data, latency, pte_check_failed)``."""
         self.stats.increment("pte_reads" if is_pte else "reads")
         line = self.llc.lookup(address)
         if line is not None:
-            return MemoryResponse(data=line.data, latency_cycles=self.hit_latency)
-        response = self.controller.read_access(address, is_pte, cycle)
-        if response.data is not None and not response.pte_check_failed:
-            victim = self.llc.fill(address, response.data, is_pte=is_pte)
+            return line.data, self.hit_latency, False
+        data, latency, failed = self.controller.read(address, is_pte, cycle)
+        if not failed:
+            victim = self.llc.fill(address, data, is_pte=is_pte)
             if victim is not None and victim.dirty:
                 self.controller.write_access(victim.address, victim.data, cycle, self)
-        return MemoryResponse(
-            data=response.data,
-            latency_cycles=self.hit_latency + response.latency_cycles,
-            pte_check_failed=response.pte_check_failed,
-            corrected=response.corrected,
-            rekey_required=response.rekey_required,
-            guard_outcome=response.guard_outcome,
-        )
+        return data, self.hit_latency + latency, failed
 
 
 class CacheHierarchy:
@@ -108,7 +99,9 @@ class CacheHierarchy:
 
     By default builds the full three-level Table III hierarchy. Pass
     ``private_levels_only=True`` to build just L1/L2 (each core's private
-    slice) over a :class:`SharedLLCAdapter`.
+    slice) over a :class:`SharedLLCAdapter`. Either backend serves the
+    hierarchy's LLC misses through ``read(address, is_pte, cycle)`` and its
+    write-backs through ``write_access``.
     """
 
     def __init__(
@@ -138,8 +131,22 @@ class CacheHierarchy:
         self.stats = StatGroup("hierarchy")
         self._counters = self.stats.raw()  # inlined hot-path updates
         self._lat1 = self._latencies[0]
-        self._lat12 = self._lat1 + self._latencies[1]
-        self._lat3 = self._latencies[2] if self.l3 is not None else 0
+        # Per-level handles for the probes of read_below_l1, the installs
+        # of _fill and the drops of discard, which inline Cache.lookup,
+        # Cache.fill and Cache.invalidate: a change there must be mirrored
+        # here (tests/test_miss_path.py compares the hierarchy against the
+        # per-level Cache methods).
+        self._handles = [
+            (c._sets, c._set_mask, c._set_bits, c._offset_bits, c._assoc, c._counters)
+            for c in self._levels
+        ]
+        # The levels below L1 in probe order: (the level above, handles,
+        # latency of the probes down to this level, name).
+        self._probes = [
+            (level - 1, self._handles[level], sum(self._latencies[: level + 1]), name)
+            for level, name in enumerate(self._names)
+            if level
+        ]
         self.cycle = 0  # advanced by the owning core model
 
     # -- main access path -----------------------------------------------------
@@ -164,57 +171,52 @@ class CacheHierarchy:
         return self.read_below_l1(address, is_pte)
 
     def read_below_l1(self, address: int, is_pte: bool) -> AccessResult:
-        """Continue a read that missed L1: probe L2, then L3 and DRAM.
+        """Continue a read that missed L1: probe L2 and L3, then DRAM.
 
         The one L1-miss path: :meth:`read` calls it after its L1 probe,
         and ``InOrderCore.run`` after its inline L1 probe (for reads and
         write-allocate fetches alike), so the core loop and every other
-        reader of the hierarchy agree by construction. An L2 hit refills
-        L1 and pushes a dirty L1 victim down. ``address`` must already be
-        line-aligned; the returned latency includes the L1 probe.
+        reader of the hierarchy agree by construction. A hit installs the
+        line in the levels above the one that hit. An LLC miss reads the
+        line through the controller's ``read`` (and PT-Guard) and installs
+        it in every level, bottom-up, unless it failed its integrity check
+        (Sec IV-F). Installs go through :meth:`_fill`. ``address`` must
+        already be line-aligned; the returned latency includes the L1 probe.
         """
-        latency = self._lat12
-        line = self.l2.lookup(address)
-        if line is not None:
-            data = line.data
-            victim = self.l1.fill(address, data, is_pte=is_pte)
-            if victim is not None and victim.dirty:
-                self._handle_victim(victim, level=0)
-            return AccessResult(data, latency, "L2")
-        return self.read_below_l2(address, is_pte, latency)
-
-    def read_below_l2(self, address: int, is_pte: bool, latency: int) -> AccessResult:
-        """Continue a read that missed L1 and L2: probe L3, then DRAM.
-
-        ``latency`` is the cycle cost already accumulated by the upper
-        levels' probes; ``address`` must already be line-aligned.
-        """
-        counters = self._counters
-        l3 = self.l3
-        if l3 is not None:
-            latency += self._lat3
-            line = l3.lookup(address)
-            if line is not None:
-                data = line.data
-                self._fill_upper(2, address, data, is_pte)
-                return AccessResult(data, latency, "L3")
+        for upper, (sets, mask, set_bits, offset_bits, _, counters), latency, name in (
+            self._probes
+        ):
+            # Cache.lookup, inlined.
+            tag = address >> offset_bits
+            lines = sets.get(tag & mask)
+            if lines is not None:
+                tag >>= set_bits
+                line = lines.get(tag)
+                if line is not None:
+                    try:
+                        counters["hits"] += 1
+                    except KeyError:
+                        counters["hits"] = 1
+                    lines.move_to_end(tag)
+                    data = line.data
+                    self._fill(address, data, False, is_pte, upper)
+                    return AccessResult(data, latency, name)
+            try:
+                counters["misses"] += 1
+            except KeyError:
+                counters["misses"] = 1
         # LLC miss: go to DRAM through the controller (and PT-Guard).
+        counters = self._counters
         try:
             counters["llc_misses"] += 1
         except KeyError:
             counters["llc_misses"] = 1
-        response = self.controller.read_access(address, is_pte, self.cycle)
-        latency += response.latency_cycles
-        data = response.data if response.data is not None else bytes(CACHELINE_BYTES)
-        if response.pte_check_failed:
+        data, dram_latency, failed = self.controller.read(address, is_pte, self.cycle)
+        latency += dram_latency
+        if failed:
             # Sec IV-F: the line is not installed; the failure propagates.
-            return AccessResult(
-                data=data,
-                latency_cycles=latency,
-                hit_level="DRAM",
-                pte_check_failed=True,
-            )
-        self._fill_all(address, data, is_pte)
+            return AccessResult(data, latency, "DRAM", True)
+        self._fill(address, data, False, is_pte, len(self._handles) - 1)
         return AccessResult(data, latency, "DRAM")
 
     def write(self, address: int, data: bytes) -> AccessResult:
@@ -228,8 +230,7 @@ class CacheHierarchy:
             return AccessResult(data=data, latency_cycles=latency, hit_level="L1")
         # Write-allocate: fetch the line (ignoring its old data), then dirty it.
         result = self.read(address)
-        victim = self.l1.fill(address, data, dirty=True)
-        self._handle_victim(victim, level=0)
+        self._fill(address, data, True, False, 0)
         return AccessResult(
             data=data,
             latency_cycles=latency + result.latency_cycles,
@@ -251,31 +252,109 @@ class CacheHierarchy:
             hit_level=result.hit_level,
         )
 
+    def read_below_l2(self, address: int, is_pte: bool, latency: int) -> AccessResult:
+        """Retired: :meth:`read_below_l1` is the one path below L1.
+
+        Nothing calls this. ``perfbench/tracer.py`` patches the name for
+        its ``cache.read_below_l2`` span (which now reads 0 calls) and
+        fails on entry when a traced name is missing; delete both in the
+        next change to ``perfbench/``.
+        """
+        raise NotImplementedError("reads below L1 go through read_below_l1")
+
     # -- fills, evictions, write-backs ----------------------------------------
 
-    def _fill_upper(self, hit_index: int, address: int, data: bytes, is_pte: bool) -> None:
-        """Propagate a line into the levels above the one that hit."""
-        for index in range(hit_index - 1, -1, -1):
-            victim = self._levels[index].fill(address, data, is_pte=is_pte)
-            self._handle_victim(victim, level=index)
+    def _fill(
+        self,
+        address: int,
+        data: bytes,
+        dirty: bool,
+        is_pte: bool,
+        bottom: int,
+        top: int = 0,
+    ) -> None:
+        """Install a line at levels ``bottom`` up to ``top``, bottom-up.
 
-    def _fill_all(self, address: int, data: bytes, is_pte: bool) -> None:
-        for index in range(len(self._levels) - 1, -1, -1):
-            victim = self._levels[index].fill(address, data, is_pte=is_pte)
-            self._handle_victim(victim, level=index)
+        The one fill-and-victim cascade. Each install is ``Cache.fill``
+        inlined (LRU order, victim-line recycling, counters). A dirty
+        victim moves into the level below as a dirty non-PTE fill, and so
+        on down; the last level's dirty victim is written back through the
+        controller. An install's cascade completes before the level above
+        it is filled.
+        """
+        handles = self._handles
+        last = len(handles) - 1
+        for level in range(bottom, top - 1, -1):
+            at = level
+            line_address = address
+            line_data = data
+            line_dirty = dirty
+            line_pte = is_pte
+            while True:
+                sets, mask, set_bits, offset_bits, assoc, counters = handles[at]
+                tag = line_address >> offset_bits
+                set_index = tag & mask
+                tag >>= set_bits
+                lines = sets.get(set_index)
+                if lines is None:
+                    lines = sets[set_index] = OrderedDict()
+                line = lines.get(tag)
+                if line is not None:
+                    line.data = line_data
+                    if line_dirty:
+                        line.dirty = True
+                    line.is_pte = line_pte
+                    lines.move_to_end(tag)
+                    break
+                if len(lines) < assoc:
+                    lines[tag] = CacheLine(line_data, line_dirty, line_pte)
+                    try:
+                        counters["fills"] += 1
+                    except KeyError:
+                        counters["fills"] = 1
+                    break
+                victim_tag, line = lines.popitem(last=False)
+                try:
+                    counters["evictions"] += 1
+                except KeyError:
+                    counters["evictions"] = 1
+                victim_dirty = line.dirty
+                if victim_dirty:
+                    try:
+                        counters["dirty_evictions"] += 1
+                    except KeyError:
+                        counters["dirty_evictions"] = 1
+                    victim_data = line.data
+                # Recycle the evicted line object for the incoming line.
+                line.data = line_data
+                line.dirty = line_dirty
+                line.is_pte = line_pte
+                lines[tag] = line
+                try:
+                    counters["fills"] += 1
+                except KeyError:
+                    counters["fills"] = 1
+                if not victim_dirty:
+                    break
+                line_address = ((victim_tag << set_bits) | set_index) << offset_bits
+                if at == last:
+                    self.stats.increment("writebacks")
+                    self.controller.write_access(
+                        line_address, victim_data, self.cycle, self
+                    )
+                    break
+                at += 1
+                line_data = victim_data
+                line_dirty = True
+                line_pte = False
 
-    def _handle_victim(self, victim: Optional[EvictedLine], level: int) -> None:
-        """Push a dirty victim one level down (or to DRAM from the LLC)."""
-        if victim is None or not victim.dirty:
-            return
-        if level + 1 < len(self._levels):
-            lower_victim = self._levels[level + 1].fill(
-                victim.address, victim.data, dirty=True
-            )
-            self._handle_victim(lower_victim, level=level + 1)
+    def _push_down(self, level: int, address: int, data: bytes) -> None:
+        """Hand a dirty line dropped from ``level - 1`` to ``level``, or
+        write it through the controller when ``level`` is past the last."""
+        if level < len(self._levels):
+            self._fill(address, data, True, False, level, level)
         else:
-            self.stats.increment("writebacks")
-            self.controller.write_access(victim.address, victim.data, self.cycle, self)
+            self.controller.write_access(address, data, self.cycle, self)
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -283,15 +362,7 @@ class CacheHierarchy:
         """Write back and drop every line (used between experiment phases)."""
         for index, cache in enumerate(self._levels):
             for victim in cache.flush_all():
-                if index + 1 < len(self._levels):
-                    lower_victim = self._levels[index + 1].fill(
-                        victim.address, victim.data, dirty=True
-                    )
-                    self._handle_victim(lower_victim, level=index + 1)
-                else:
-                    self.controller.write_access(
-                        victim.address, victim.data, self.cycle, self
-                    )
+                self._push_down(index + 1, victim.address, victim.data)
 
     def invalidate(self, address: int) -> None:
         """clflush-style: write back then drop one line from all levels."""
@@ -299,15 +370,7 @@ class CacheHierarchy:
         for index, cache in enumerate(self._levels):
             victim = cache.invalidate(address)
             if victim is not None:
-                if index + 1 < len(self._levels):
-                    lower_victim = self._levels[index + 1].fill(
-                        victim.address, victim.data, dirty=True
-                    )
-                    self._handle_victim(lower_victim, level=index + 1)
-                else:
-                    self.controller.write_access(
-                        victim.address, victim.data, self.cycle, self
-                    )
+                self._push_down(index + 1, victim.address, victim.data)
 
     def discard(self, address: int) -> None:
         """Coherence invalidation: drop a line without write-back.
@@ -316,9 +379,12 @@ class CacheHierarchy:
         write-back) updates DRAM behind this hierarchy's back — modelling
         what hardware coherence would have done with the stale copy.
         """
-        address = self._align(address)
-        for cache in self._levels:
-            cache.invalidate(address)
+        address &= ~(CACHELINE_BYTES - 1)
+        for sets, mask, set_bits, offset_bits, _, _ in self._handles:
+            tag = address >> offset_bits
+            lines = sets.get(tag & mask)
+            if lines is not None:
+                lines.pop(tag >> set_bits, None)
 
     def discard_lines(self, addresses) -> None:
         """:meth:`discard` every line of the set ``addresses`` (aligned)."""

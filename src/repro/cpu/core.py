@@ -152,8 +152,7 @@ class InOrderCore:
         l1_sets = l1._sets
         l1_mask = l1._set_mask
         l1_bits = l1._set_bits
-        l1_fill = l1.fill
-        handle_victim = hierarchy._handle_victim
+        fill = hierarchy._fill
         read_below_l1 = hierarchy.read_below_l1
         payload_cache = _PAYLOAD_CACHE
         lat1 = hierarchy._lat1
@@ -215,9 +214,7 @@ class InOrderCore:
                             reads += 1
                             l1_misses += 1
                             read_latency = read_below_l1(line_address, False).latency_cycles
-                            victim = l1_fill(line_address, payload, dirty=True)
-                            if victim is not None and victim.dirty:
-                                handle_victim(victim, 0)
+                            fill(line_address, payload, True, False, 0)
                             stall = lat1 + read_latency - l1_hit_latency
                             if stall > 0:
                                 cycles += stall
@@ -268,9 +265,7 @@ class InOrderCore:
                             reads += 1
                             l1_misses += 1
                             read_below_l1(line_address, False)
-                            victim = l1_fill(line_address, payload, dirty=True)
-                            if victim is not None and victim.dirty:
-                                handle_victim(victim, 0)
+                            fill(line_address, payload, True, False, 0)
                     else:
                         reads += 1
                         if line is not None:

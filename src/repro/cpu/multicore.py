@@ -164,18 +164,16 @@ class MulticoreSimulator:
         # Patch contention in: wrap the controller so each DRAM access adds
         # the channel queueing delay of the issuing core's current cycle.
         controller = self.system.controller
-        original_read = controller.read_access
+        original_read = controller.read
         original_write = controller.write_access
         active_core: Dict[str, Optional[InOrderCore]] = {"core": None}
         channel = self.channel
 
         def contended_read(address, is_pte=False, cycle=0):
-            response = original_read(address, is_pte, cycle)
+            data, latency, failed = original_read(address, is_pte, cycle)
             core = active_core["core"]
             delay = channel.occupy(core.cycles if core else 0)
-            return response._replace(
-                latency_cycles=response.latency_cycles + delay
-            )
+            return data, latency + delay, failed
 
         def contended_write(address, data, cycle=0, origin=None):
             response = original_write(address, data, cycle, origin)
@@ -183,7 +181,7 @@ class MulticoreSimulator:
             channel.occupy(core.cycles if core else 0)  # writes occupy too
             return response
 
-        controller.read_access = contended_read  # type: ignore[method-assign]
+        controller.read = contended_read  # type: ignore[method-assign]
         controller.write_access = contended_write  # type: ignore[method-assign]
         try:
             remaining = [mem_ops_per_core] * len(self.cores)
@@ -199,7 +197,7 @@ class MulticoreSimulator:
                     core.mem_ops += 1
                     remaining[index] -= 1
         finally:
-            del controller.read_access  # type: ignore[method-assign]
+            del controller.read  # type: ignore[method-assign]
             del controller.write_access  # type: ignore[method-assign]
             active_core["core"] = None
 

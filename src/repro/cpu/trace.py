@@ -72,10 +72,7 @@ class TraceGenerator:
         # Average non-memory instructions between two memory operations.
         self._gap = max(1, round(1000 / profile.mem_ops_per_kilo))
         # Hot-path bindings: next_record runs once per simulated access.
-        # _randbelow(n) is exactly the entropy randrange(n) consumes, so
-        # seeded streams match the randrange-based formulation bit for bit.
         self._random = self._rng.random
-        self._randbelow = self._rng._randbelow
         self._getrandbits = self._rng.getrandbits
         self._hot_lines = self.regions.hot_bytes // CACHELINE_BYTES
         self._cold_lines = self.regions.cold_bytes // CACHELINE_BYTES
@@ -100,7 +97,6 @@ class TraceGenerator:
         getrandbits = self._getrandbits
         is_write = rng_random() < self._write_fraction
         if rng_random() < self._cold_fraction:
-            # Inlined _cold_address (hot loop).
             if rng_random() < self._random_fraction:
                 lines = self._cold_lines
                 index = getrandbits(self._cold_k)
@@ -111,7 +107,6 @@ class TraceGenerator:
                 self._cold_cursor = (index + 1) % self._cold_lines
             address = self.regions.cold_base + index * CACHELINE_BYTES
         else:
-            # Inlined _hot_address (hot loop).
             lines = self._hot_lines
             index = getrandbits(self._hot_k)
             while index >= lines:
@@ -131,17 +126,6 @@ class TraceGenerator:
             instructions = 1
         return TraceRecord(instructions, address, is_write)
 
-    def _hot_address(self) -> int:
-        return self.regions.hot_base + self._randbelow(self._hot_lines) * CACHELINE_BYTES
-
-    def _cold_address(self) -> int:
-        lines = self._cold_lines
-        if self._random() < self._random_fraction:
-            index = self._randbelow(lines)
-        else:
-            index = self._cold_cursor
-            self._cold_cursor = (self._cold_cursor + 1) % lines
-        return self.regions.cold_base + index * CACHELINE_BYTES
 
 def region_pages(regions: TraceRegions) -> Iterator[int]:
     """Every page base VA a trace may touch (for prefaulting)."""

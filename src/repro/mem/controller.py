@@ -73,6 +73,9 @@ class MemoryController:
         # the window where a disturbance lands after the last scrub but
         # before the guard inspects the line (repro.faults campaigns).
         self._read_fault_hook = None
+        # The guard's ReadOutcome of the latest guarded read (read_access
+        # reports it alongside the plain values read returns).
+        self.last_read_outcome: Optional[ReadOutcome] = None
 
     def install_read_fault_hook(self, hook) -> None:
         """Install ``hook(address, is_pte)`` called at the top of every
@@ -139,36 +142,80 @@ class MemoryController:
 
     # -- read path ---------------------------------------------------------------
 
-    def read_access(
-        self, address: int, is_pte: bool = False, cycle: int = 0
-    ) -> MemoryResponse:
-        """Request-free read path (same semantics as a read ``access``)."""
+    def read(self, address: int, is_pte: bool = False, cycle: int = 0):
+        """Serve one line read; returns ``(data, latency, pte_check_failed)``.
+
+        The one read path: the cache hierarchy's LLC misses call it
+        directly, and :meth:`read_access` wraps it. With a guard, the
+        guard's :class:`ReadOutcome` for the line is kept in
+        ``last_read_outcome`` until the next guarded read.
+        """
         if address % CACHELINE_BYTES:
             raise ValueError(f"request address {address:#x} not line-aligned")
         self.stats.increment("pte_reads" if is_pte else "reads")
         hook = self._read_fault_hook
         if hook is not None:
             hook(address, is_pte)
-        latency = self.dram.access(address, is_write=False, cycle=cycle)
-        stored = self.dram.read_line(address)
-        if self.ptguard is None:
-            return MemoryResponse(data=stored, latency_cycles=latency)
+        dram = self.dram
+        latency = dram.access(address, False, cycle)
+        stored = dram.read_line(address)
+        guard = self.ptguard
+        if guard is None:
+            return stored, latency, False
 
-        outcome = self.ptguard.process_read(address, stored, is_pte)
-        latency += outcome.latency_cycles
+        outcome = self.last_read_outcome = guard.process_read(address, stored, is_pte)
         if outcome.corrected_stored_line is not None:
             # Transparent repair: scrub the corrected line back into DRAM.
-            self.dram.write_line(address, outcome.corrected_stored_line)
+            dram.write_line(address, outcome.corrected_stored_line)
             self.stats.increment("correction_writebacks")
         if outcome.pte_check_failed:
             self.stats.increment("pte_check_failures")
+        return outcome.line, latency + outcome.latency_cycles, outcome.pte_check_failed
+
+    def read_access(
+        self, address: int, is_pte: bool = False, cycle: int = 0
+    ) -> MemoryResponse:
+        """:meth:`read` as a :class:`MemoryResponse` carrying the guard outcome."""
+        data, latency, failed = self.read(address, is_pte, cycle)
+        if self.ptguard is None:
+            return MemoryResponse(data=data, latency_cycles=latency)
+        outcome = self.last_read_outcome
         return MemoryResponse(
-            data=outcome.line,
+            data=data,
             latency_cycles=latency,
-            pte_check_failed=outcome.pte_check_failed,
+            pte_check_failed=failed,
             corrected=outcome.corrected,
             guard_outcome=outcome,
         )
+
+    # -- page zeroing ----------------------------------------------------------------
+
+    def zero_lines(self, addresses: Sequence[int]) -> None:
+        """Write a zero line to each of ``addresses`` in one ordered burst.
+
+        Equivalent to a ``write_line`` of zeros per address, in order: the
+        same guard transforms (``process_write`` once per line), DRAM
+        traffic, counters and coherence discards, but one DRAM burst and
+        no per-line response. A zero line always matches the bit pattern,
+        so no write can overflow the CTB.
+        """
+        for address in addresses:
+            if address % CACHELINE_BYTES:
+                raise ValueError(f"request address {address:#x} not line-aligned")
+        if addresses:
+            self.stats.increment("writes", len(addresses))
+        zero_line = bytes(CACHELINE_BYTES)
+        guard = self.ptguard
+        if guard is None:
+            lines = [zero_line] * len(addresses)
+        else:
+            process_write = guard.process_write
+            lines = [process_write(address, zero_line).stored_line for address in addresses]
+        self.dram.sweep(addresses, lines)
+        listeners = self._coherence_listeners
+        for address in addresses:
+            for cache in listeners:
+                cache.discard(address)
 
     # -- re-key sweep (Sec VII-B) -------------------------------------------------
 

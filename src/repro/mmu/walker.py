@@ -47,14 +47,10 @@ class ControllerPort:
         self.controller = controller
 
     def read(self, address: int, is_pte: bool = False) -> PortResult:
-        response = self.controller.read_line(
-            address & ~(CACHELINE_BYTES - 1), is_pte=is_pte
+        data, latency, failed = self.controller.read(
+            address & ~(CACHELINE_BYTES - 1), is_pte
         )
-        return PortResult(
-            data=response.data,
-            latency_cycles=response.latency_cycles,
-            pte_check_failed=response.pte_check_failed,
-        )
+        return PortResult(data, latency, failed)
 
 
 class PTEIntegrityException(IntegrityError):

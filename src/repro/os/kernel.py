@@ -174,10 +174,10 @@ class Kernel:
         return pfn
 
     def zero_page(self, pfn: int) -> None:
+        """Zero the page's lines in one controller write burst, in address
+        order; each line crosses the guard's write path as a store would."""
         base = pfn * PAGE_BYTES
-        zero_line = bytes(CACHELINE_BYTES)
-        for offset in range(0, PAGE_BYTES, CACHELINE_BYTES):
-            self.controller.write_line(base + offset, zero_line)
+        self.controller.zero_lines(range(base, base + PAGE_BYTES, CACHELINE_BYTES))
 
     # -- process lifecycle ----------------------------------------------------------
 
