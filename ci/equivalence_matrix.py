@@ -52,6 +52,8 @@ FAILED_REPORT_PATH = REPO / "ci" / "failed_report.txt"
 FIG6 = "fig6 --scale 0.25"
 WALK = "fig6 --scale 0.25 --workloads walkheavy,xalancbmk"
 SERVED = "fig6 --scale 0.25 --workloads povray,xz"
+# The MAC-latency sweep: every cell is priced from a latency basis.
+FIG7 = "fig7 --scale 0.25"
 CAMPAIGN = "campaign --scale 0.25 --validate"
 SIEGE = "siege --scale 0.25 --validate"
 FRONTIER = "frontier --scale 0.25 --validate"
@@ -107,6 +109,9 @@ POINTS: Tuple[Point, ...] = (
     Point(SERVED, "snapshot", "process-pool", "warm"),
     Point(SIEGE_SNAPSHOT, "snapshot", "process-pool", "cold"),
     Point(FRONTIER_SNAPSHOT, "snapshot", "process-pool", "cold"),
+    Point(FIG7, "snapshot", "inprocess", "cold"),
+    Point(FIG7, "cold", "process-pool", "warm"),
+    Point(FIG7, "snapshot", "process-pool", "resumed"),
 )
 
 

@@ -9,21 +9,29 @@ sensitivity sweep over {5, 10, 15, 20} cycles for average and worst case
 Timing runs use the ``pseudo`` MAC: tag *values* never affect timing
 (only pattern/identifier matches do), and it keeps multi-million-access
 simulations tractable — see :class:`repro.crypto.mac.PseudoLineMAC`.
+
+The sweeps emit one ``workload_run`` job per cell, but the fabric
+simulates only one :class:`LatencyBasis` per (workload, design): a run's
+cycles are affine in the MAC latency and its zero-latency run is the
+baseline, so every latency and the baseline are priced from it
+(:func:`repro.harness.parallel.run_jobs`). :func:`run_workload` is the
+simulated reference the pricing is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import PTGuardConfig, optimized_ptguard_config
-from repro.cpu.core import CoreResult
+from repro.common.errors import SimulationError
+from repro.cpu.core import CoreResult, InOrderCore
 from repro.cpu.trace import TraceGenerator
 from repro.cpu.workloads import WORKLOADS, WorkloadProfile, get_workload
 from repro.harness import snapshot as boot_snapshot
 from repro.harness.parallel import ResultCache, SimJob, guard_config_params, run_jobs
-from repro.harness.system import COLD_BASE, HOT_BASE, build_system
+from repro.harness.system import COLD_BASE, HOT_BASE, System, build_system
 
 
 @dataclass
@@ -65,27 +73,14 @@ def arithmetic_mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def run_workload(
+def boot_workload(
     profile: WorkloadProfile,
     guard_config: Optional[PTGuardConfig],
-    mem_ops: int = 20_000,
-    warmup_ops: int = 12_000,
     seed: int = 1,
     prefault: bool = False,
     mac_algorithm: str = "pseudo",
-) -> CoreResult:
-    """Simulate one workload on one machine configuration.
-
-    With ``prefault=False`` (default) pages fault in on first touch —
-    mostly during the untimed warmup, exactly like the paper's
-    KVM-fast-forward methodology; faults are OS work outside the timed
-    window either way, and the baseline/guarded runs see identical
-    streams, so slowdown ratios are unaffected while runs start ~2s
-    faster on large-footprint workloads.
-
-    The result is a pure function of the arguments (a fresh system is
-    built per call), which is what lets :func:`workload_job` run cells
-    in any process and cache them content-addressed.
+) -> Tuple[System, InOrderCore, TraceGenerator]:
+    """The machine, core and trace one :func:`run_workload` call runs.
 
     Booting — build machine, map regions, (optionally) prefault — is
     identical for every call sharing ``(profile, config-sans-latency,
@@ -95,8 +90,8 @@ def run_workload(
     copy. ``mac_latency_cycles`` stays out of the snapshot key because
     the guard reads it per access from ``guard.config``, which is
     re-pointed at the caller's real config after restore — that is what
-    lets the fig-7 latency sweep share one snapshot per (workload,
-    design). Prefault uses a throwaway core: it only drives
+    lets every latency of a (workload, design) share one snapshot.
+    Prefault uses a throwaway core: it only drives
     ``kernel.handle_page_fault``, so machine state is identical to
     faulting through the measurement core.
     """
@@ -129,8 +124,122 @@ def run_workload(
         system.guard.config = guard_config
     process = system.kernel.processes[pid]
     trace = TraceGenerator(profile, hot_base=HOT_BASE, cold_base=COLD_BASE, seed=seed)
-    core = system.new_core(process)
+    return system, system.new_core(process), trace
+
+
+def run_workload(
+    profile: WorkloadProfile,
+    guard_config: Optional[PTGuardConfig],
+    mem_ops: int = 20_000,
+    warmup_ops: int = 12_000,
+    seed: int = 1,
+    prefault: bool = False,
+    mac_algorithm: str = "pseudo",
+) -> CoreResult:
+    """Simulate one workload on one machine configuration.
+
+    With ``prefault=False`` (default) pages fault in on first touch —
+    mostly during the untimed warmup, exactly like the paper's
+    KVM-fast-forward methodology; faults are OS work outside the timed
+    window either way, and the baseline/guarded runs see identical
+    streams, so slowdown ratios are unaffected while runs start ~2s
+    faster on large-footprint workloads.
+
+    The result is a pure function of the arguments (a fresh system is
+    booted per call, see :func:`boot_workload`). This is the simulated
+    reference: the fig 6/7 sweeps price their cells from a
+    :class:`LatencyBasis` instead, and ``tests/test_mac_pricing.py``
+    holds the two equal.
+    """
+    _, core, trace = boot_workload(profile, guard_config, seed, prefault, mac_algorithm)
     return core.run(trace, mem_ops=mem_ops, warmup_ops=warmup_ops)
+
+
+#: Guard and controller counters of events whose cost is not affine in
+#: the MAC latency (a correction's write-back, a CTB overflow, a rekey
+#: sweep, a failed PTE check). A basis run that records one cannot
+#: price its latencies.
+_UNPRICEABLE_EVENTS = (
+    ("controller", "correction_writebacks"),
+    ("controller", "ctb_overflows"),
+    ("controller", "pte_check_failures"),
+    ("guard", "rekeys"),
+)
+
+
+@dataclass(frozen=True)
+class LatencyBasis:
+    """A guarded run at ``mac_latency_cycles = 0`` that prices every latency.
+
+    The guard adds either 0 or ``mac_latency_cycles`` to a DRAM read, the
+    in-order core sums read latencies into its stalls, and DRAM timing
+    ignores the cycle when no mitigation is active. So the same machine
+    at latency L runs ``cycles(0) + L * (mac_data_reads +
+    mac_walk_reads)`` cycles, and every other :class:`CoreResult` field
+    is unchanged. At L = 0 the guard changes no timing at all, so
+    ``result`` is also the unprotected baseline of the same run.
+    """
+
+    result: CoreResult
+    #: MAC-checked LLC-miss reads of the timed window (loads and
+    #: write-allocate fetches).
+    mac_data_reads: int
+    #: MAC-checked page-walk reads of the timed window's completed walks.
+    mac_walk_reads: int
+
+    def price(self, mac_latency: int) -> CoreResult:
+        """The :class:`CoreResult` of the same run at ``mac_latency``."""
+        extra = mac_latency * (self.mac_data_reads + self.mac_walk_reads)
+        return replace(self.result, cycles=self.result.cycles + extra)
+
+
+def measure_basis(
+    system: System,
+    core: InOrderCore,
+    trace: TraceGenerator,
+    mem_ops: int,
+    warmup_ops: int,
+) -> LatencyBasis:
+    """Run ``core`` over ``trace`` and return the run as a :class:`LatencyBasis`.
+
+    The same run as ``core.run(trace, mem_ops, warmup_ops)``. Raises
+    :class:`SimulationError` when the timed window recorded an event
+    whose cost is not affine in the MAC latency: ``workload_run``
+    machines have no mitigation and no fault injection, so one means
+    the machine is not the one pricing was derived for.
+    """
+    # Warm up first, so the event check sees the timed window alone.
+    core.run(trace, mem_ops=0, warmup_ops=warmup_ops)
+    sources = {"controller": system.controller.stats, "guard": system.guard.stats}
+    before = [sources[owner].get(name) for owner, name in _UNPRICEABLE_EVENTS]
+    result = core.run(trace, mem_ops=mem_ops)
+    for (owner, name), start in zip(_UNPRICEABLE_EVENTS, before):
+        if sources[owner].get(name) != start:
+            raise SimulationError(
+                f"latency basis recorded {owner} {name}: its cycles are "
+                "not affine in the MAC latency, so it cannot price one"
+            )
+    data_reads, walk_reads = core.mac_checked_reads
+    return LatencyBasis(result, data_reads, walk_reads)
+
+
+def run_latency_basis(
+    profile: WorkloadProfile,
+    guard_config: PTGuardConfig,
+    mem_ops: int = 20_000,
+    warmup_ops: int = 12_000,
+    seed: int = 1,
+    prefault: bool = False,
+    mac_algorithm: str = "pseudo",
+) -> LatencyBasis:
+    """The :class:`LatencyBasis` of ``run_workload(profile, guard_config, ...)``.
+
+    Simulates the guarded machine once, at ``mac_latency_cycles = 0``;
+    ``guard_config``'s own latency is ignored.
+    """
+    config = replace(guard_config, mac_latency_cycles=0)
+    booted = boot_workload(profile, config, seed, prefault, mac_algorithm)
+    return measure_basis(*booted, mem_ops=mem_ops, warmup_ops=warmup_ops)
 
 
 def workload_job(
@@ -174,8 +283,11 @@ def figure6_jobs(
     """The Figure-6 job grid, workload-major then configuration.
 
     Exposed separately from :func:`run_figure6` so callers that reason
-    about the cells themselves — the chaos benchmark picks an injection
-    seed from the job keys — build exactly the grid the sweep runs.
+    about the cells themselves — the service benchmark submits one
+    workload's grid per sweep — build exactly the grid the sweep runs.
+    ``run_jobs`` simulates two latency bases per workload (PT-Guard and
+    Optimized at zero latency) and prices all three cells from them; with
+    ``include_optimized=False`` one basis prices both cells.
     """
     profiles = (
         [get_workload(name) for name in workload_names]
@@ -214,10 +326,11 @@ def run_figure6(
 ) -> List[Figure6Row]:
     """Figure 6: per-workload normalized IPC + MPKI at the default latency.
 
-    Emits one job per (workload, configuration) cell and fans them out
-    over ``workers`` processes (:func:`repro.harness.parallel.run_jobs`);
-    results reassemble in job order, so the rows — and any report built
-    from them — are identical at every worker count.
+    Emits one job per (workload, configuration) cell; ``run_jobs``
+    prices the cells from one latency basis per (workload, design), fanned
+    out over ``workers`` processes. Results reassemble in job order, so
+    the rows — and any report built from them — are identical at every
+    worker count.
     """
     profiles = (
         [get_workload(name) for name in workload_names]
@@ -269,9 +382,12 @@ def run_figure7(
 ) -> List[Figure7Point]:
     """Figure 7: slowdown vs MAC-computation latency, both designs.
 
-    Baselines are simulated once per workload and reused across the
-    sweep; every cell — baseline or sweep point — is one job, so the
-    whole grid fans out at once.
+    Every cell — baseline or sweep point — is one job, and ``run_jobs``
+    prices them all from one latency basis per (workload, design): two
+    simulations per workload serve every latency and the baseline. After
+    a Figure-6 sweep of the same workloads and sizes, the bases, the
+    baselines and the default-latency cells are all in the cache, so the
+    sweep simulates nothing.
     """
     profiles = (
         [get_workload(name) for name in workload_names]

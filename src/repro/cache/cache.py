@@ -26,15 +26,14 @@ from repro.common.stats import StatGroup
 class CacheLine:
     """One resident line: its data and dirty state (mutated in place)."""
 
-    __slots__ = ("data", "dirty", "is_pte")
+    __slots__ = ("data", "dirty")
 
-    def __init__(self, data: bytes, dirty: bool = False, is_pte: bool = False):
+    def __init__(self, data: bytes, dirty: bool = False):
         self.data = data
         self.dirty = dirty
-        self.is_pte = is_pte  # provenance tag (isPTE travelled with the fill)
 
     def __repr__(self) -> str:
-        return f"CacheLine(dirty={self.dirty}, is_pte={self.is_pte})"
+        return f"CacheLine(dirty={self.dirty})"
 
 
 class EvictedLine(NamedTuple):
@@ -86,7 +85,7 @@ class Cache:
         return None
 
     def fill(
-        self, address: int, data: bytes, dirty: bool = False, is_pte: bool = False
+        self, address: int, data: bytes, dirty: bool = False
     ) -> Optional[EvictedLine]:
         """Install a line, evicting the LRU victim of its set if needed."""
         line_address = address >> self._offset_bits
@@ -100,7 +99,6 @@ class Cache:
         if existing is not None:
             existing.data = data
             existing.dirty = dirty or existing.dirty
-            existing.is_pte = is_pte
             lines.move_to_end(tag)
             return None
         counters = self._counters
@@ -125,10 +123,9 @@ class Cache:
             # Recycle the evicted line object for the incoming line.
             victim_line.data = data
             victim_line.dirty = dirty
-            victim_line.is_pte = is_pte
             lines[tag] = victim_line
         else:
-            lines[tag] = CacheLine(data, dirty, is_pte)
+            lines[tag] = CacheLine(data, dirty)
         try:
             counters["fills"] += 1
         except KeyError:

@@ -55,6 +55,7 @@ class SharedLLCAdapter:
         self.stats = StatGroup("shared_llc")
         self.ptguard = controller.ptguard
         self.dram = controller.dram
+        self.mac_checked_reads = controller.mac_checked_reads
         # Writes always complete at the LLC hit latency; reuse one response.
         self._write_response = MemoryResponse(data=None, latency_cycles=hit_latency)
 
@@ -88,7 +89,7 @@ class SharedLLCAdapter:
             return line.data, self.hit_latency, False
         data, latency, failed = self.controller.read(address, is_pte, cycle)
         if not failed:
-            victim = self.llc.fill(address, data, is_pte=is_pte)
+            victim = self.llc.fill(address, data)
             if victim is not None and victim.dirty:
                 self.controller.write_access(victim.address, victim.data, cycle, self)
         return data, self.hit_latency + latency, failed
@@ -199,7 +200,7 @@ class CacheHierarchy:
                         counters["hits"] = 1
                     lines.move_to_end(tag)
                     data = line.data
-                    self._fill(address, data, False, is_pte, upper)
+                    self._fill(address, data, False, upper)
                     return AccessResult(data, latency, name)
             try:
                 counters["misses"] += 1
@@ -216,7 +217,7 @@ class CacheHierarchy:
         if failed:
             # Sec IV-F: the line is not installed; the failure propagates.
             return AccessResult(data, latency, "DRAM", True)
-        self._fill(address, data, False, is_pte, len(self._handles) - 1)
+        self._fill(address, data, False, len(self._handles) - 1)
         return AccessResult(data, latency, "DRAM")
 
     def write(self, address: int, data: bytes) -> AccessResult:
@@ -230,7 +231,7 @@ class CacheHierarchy:
             return AccessResult(data=data, latency_cycles=latency, hit_level="L1")
         # Write-allocate: fetch the line (ignoring its old data), then dirty it.
         result = self.read(address)
-        self._fill(address, data, True, False, 0)
+        self._fill(address, data, True, 0)
         return AccessResult(
             data=data,
             latency_cycles=latency + result.latency_cycles,
@@ -269,7 +270,6 @@ class CacheHierarchy:
         address: int,
         data: bytes,
         dirty: bool,
-        is_pte: bool,
         bottom: int,
         top: int = 0,
     ) -> None:
@@ -277,7 +277,7 @@ class CacheHierarchy:
 
         The one fill-and-victim cascade. Each install is ``Cache.fill``
         inlined (LRU order, victim-line recycling, counters). A dirty
-        victim moves into the level below as a dirty non-PTE fill, and so
+        victim moves into the level below as a dirty fill, and so
         on down; the last level's dirty victim is written back through the
         controller. An install's cascade completes before the level above
         it is filled.
@@ -289,7 +289,6 @@ class CacheHierarchy:
             line_address = address
             line_data = data
             line_dirty = dirty
-            line_pte = is_pte
             while True:
                 sets, mask, set_bits, offset_bits, assoc, counters = handles[at]
                 tag = line_address >> offset_bits
@@ -303,11 +302,10 @@ class CacheHierarchy:
                     line.data = line_data
                     if line_dirty:
                         line.dirty = True
-                    line.is_pte = line_pte
                     lines.move_to_end(tag)
                     break
                 if len(lines) < assoc:
-                    lines[tag] = CacheLine(line_data, line_dirty, line_pte)
+                    lines[tag] = CacheLine(line_data, line_dirty)
                     try:
                         counters["fills"] += 1
                     except KeyError:
@@ -328,7 +326,6 @@ class CacheHierarchy:
                 # Recycle the evicted line object for the incoming line.
                 line.data = line_data
                 line.dirty = line_dirty
-                line.is_pte = line_pte
                 lines[tag] = line
                 try:
                     counters["fills"] += 1
@@ -346,13 +343,12 @@ class CacheHierarchy:
                 at += 1
                 line_data = victim_data
                 line_dirty = True
-                line_pte = False
 
     def _push_down(self, level: int, address: int, data: bytes) -> None:
         """Hand a dirty line dropped from ``level - 1`` to ``level``, or
         write it through the controller when ``level`` is past the last."""
         if level < len(self._levels):
-            self._fill(address, data, True, False, level, level)
+            self._fill(address, data, True, level, level)
         else:
             self.controller.write_access(address, data, self.cycle, self)
 

@@ -104,6 +104,13 @@ class InOrderCore:
         self.instructions = 0
         self.mem_ops = 0
         self.stats = StatGroup("core")
+        # MAC-checked DRAM reads whose latency reached ``cycles`` in the
+        # last timed window, as (data reads, page-walk reads): the reads
+        # that add mac_latency_cycles each to CoreResult.cycles.
+        self.mac_checked_reads = (0, 0)
+        # The controller's MAC-checked reads in this window that no stall
+        # charged: aborted walks and the kernel's demand-fault work.
+        self._uncharged_mac_reads = [0, 0]
 
     # -- execution ---------------------------------------------------------------
 
@@ -214,7 +221,7 @@ class InOrderCore:
                             reads += 1
                             l1_misses += 1
                             read_latency = read_below_l1(line_address, False).latency_cycles
-                            fill(line_address, payload, True, False, 0)
+                            fill(line_address, payload, True, 0)
                             stall = lat1 + read_latency - l1_hit_latency
                             if stall > 0:
                                 cycles += stall
@@ -265,7 +272,7 @@ class InOrderCore:
                             reads += 1
                             l1_misses += 1
                             read_below_l1(line_address, False)
-                            fill(line_address, payload, True, False, 0)
+                            fill(line_address, payload, True, 0)
                     else:
                         reads += 1
                         if line is not None:
@@ -301,7 +308,9 @@ class InOrderCore:
             "tlb_misses": self.walker.tlb.stats.get("misses"),
             "walks": self.walker.stats.get("walks"),
             "walk_dram": self.hierarchy.controller.stats.get("pte_reads"),
+            "mac_checked_reads": tuple(self.hierarchy.controller.mac_checked_reads),
         }
+        self._uncharged_mac_reads = [0, 0]
         self.mem_ops = 0
         return self.cycles, self.instructions
 
@@ -311,6 +320,13 @@ class InOrderCore:
 
     def _result(self, start_cycles: int, start_instructions: int) -> CoreResult:
         window = self._window_stats
+        data, walk = self.hierarchy.controller.mac_checked_reads
+        start_data, start_walk = window["mac_checked_reads"]
+        uncharged_data, uncharged_walk = self._uncharged_mac_reads
+        self.mac_checked_reads = (
+            data - start_data - uncharged_data,
+            walk - start_walk - uncharged_walk,
+        )
         return CoreResult(
             instructions=self.instructions - start_instructions,
             cycles=self.cycles - start_cycles,
@@ -351,6 +367,9 @@ class InOrderCore:
             return entry.pfn * PAGE_BYTES + (virtual_address & (PAGE_BYTES - 1))
         tlb_checked = True
         while True:
+            if timed:
+                mac_reads = self.hierarchy.controller.mac_checked_reads
+                data_before, walk_before = mac_reads
             try:
                 walk = self.walker.translate(
                     process.asid,
@@ -367,4 +386,10 @@ class InOrderCore:
                 # Demand-paging faults are OS work outside the timed window
                 # (the paper fast-forwards past them with KVM).
                 self.kernel.handle_page_fault(self.process, virtual_address)
+                if timed:
+                    # Neither the aborted walk's reads nor the handler's
+                    # stall the core.
+                    uncharged = self._uncharged_mac_reads
+                    uncharged[0] += mac_reads[0] - data_before
+                    uncharged[1] += mac_reads[1] - walk_before
                 tlb_checked = False

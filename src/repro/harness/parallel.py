@@ -44,6 +44,12 @@ Pieces:
   invalidated. Every entry carries a SHA-256 digest of its payload that
   is verified on read; corrupt/truncated entries are quarantined to
   ``<root>/quarantine/`` and recomputed, never trusted and never fatal.
+* Pricing — fig 6/7's ``workload_run`` cells are *priced* instead of
+  simulated one by one: ``run_jobs`` runs one ``latency_basis`` job, a
+  guarded simulation at zero MAC latency, per (workload, design) and
+  derives every latency and the baseline from it. Priced cells are
+  cached and journaled under their own keys, so nothing downstream can
+  tell them from simulated ones.
 * :class:`SweepJournal` — an append-only record log
   (:mod:`repro.common.recordlog`), one file per sweep under
   ``<cache root>/journals/``, recording each completed cell
@@ -244,6 +250,31 @@ def _decode_core_result(payload):
     return CoreResult(**payload)
 
 
+def _run_latency_basis_job(params: Mapping[str, Any]):
+    from repro.analysis.perf_eval import run_latency_basis
+    from repro.cpu.workloads import get_workload
+
+    return run_latency_basis(
+        get_workload(params["workload"]),
+        _guard_config_from(params["config"]),
+        mem_ops=params["mem_ops"],
+        warmup_ops=params["warmup_ops"],
+        seed=params["seed"],
+        prefault=params.get("prefault", False),
+        mac_algorithm=params.get("mac_algorithm", "pseudo"),
+    )
+
+
+def _decode_latency_basis(payload):
+    from repro.analysis.perf_eval import LatencyBasis
+
+    return LatencyBasis(
+        result=_decode_core_result(payload["result"]),
+        mac_data_reads=payload["mac_data_reads"],
+        mac_walk_reads=payload["mac_walk_reads"],
+    )
+
+
 def _run_figure9_cell(params: Mapping[str, Any]):
     from repro.analysis.correction_eval import evaluate_workload
 
@@ -349,6 +380,9 @@ register_job_kind(
     "workload_run", _run_workload_job, _encode_core_result, _decode_core_result
 )
 register_job_kind(
+    "latency_basis", _run_latency_basis_job, asdict, _decode_latency_basis
+)
+register_job_kind(
     "figure9_cell",
     _run_figure9_cell,
     _encode_correction_stats,
@@ -373,6 +407,41 @@ register_job_kind(
     _encode_siege_cell,
     _decode_adaptive_siege_cell,
 )
+
+
+# -- pricing ------------------------------------------------------------------
+#
+# Fig 6/7's workload_run cells are not simulated one by one. run_jobs runs
+# one latency_basis job per (workload, design) and prices each cell from
+# it, then caches and journals the cell under its own key, exactly as if
+# it had been simulated.
+
+
+def _workload_basis(job: SimJob) -> Optional[SimJob]:
+    """A guarded cell's basis: the same params at zero MAC latency. A
+    baseline cell has none of its own."""
+    config = job.params["config"]
+    if config is None:
+        return None
+    params = dict(job.params)
+    params["config"] = {**config, "mac_latency_cycles": 0}
+    label = f"{job.label} basis" if job.label else None
+    return SimJob(kind="latency_basis", params=params, label=label)
+
+
+def _workload_run_identity(job: SimJob) -> str:
+    """Everything but the machine design (workload, ops, seed, MAC
+    backend): the cells of one run price alike from any of its bases."""
+    params = {k: v for k, v in job.params.items() if k != "config"}
+    return json.dumps(params, sort_keys=True, separators=(",", ":"))
+
+
+def _price_workload_run(job: SimJob, basis_payload: Any) -> Dict[str, Any]:
+    """A cell's encoded result from its basis. The baseline is the basis
+    itself: at zero latency the guard changes no timing."""
+    config = job.params["config"]
+    latency = 0 if config is None else config["mac_latency_cycles"]
+    return asdict(_decode_latency_basis(basis_payload).price(latency))
 
 
 # -- result cache -------------------------------------------------------------
@@ -729,8 +798,12 @@ class FabricStats:
     """Observability for the last :func:`run_jobs` call (per context)."""
 
     jobs: int = 0
+    #: cells served from the result cache
     cached: int = 0
+    #: simulations run: latency bases and cells that are not priced
     fresh: int = 0
+    #: cells priced from a latency basis
+    priced: int = 0
     retries: int = 0
     timeouts: int = 0
     crashes: int = 0
@@ -741,7 +814,8 @@ class FabricStats:
     def eventful(self) -> bool:
         """True when anything beyond plain execution happened."""
         return bool(
-            self.retries
+            self.priced
+            or self.retries
             or self.timeouts
             or self.crashes
             or self.quarantined
@@ -1148,10 +1222,13 @@ def run_jobs(
     injection. ``backend`` forces a specific executor by
     :data:`BACKENDS` name, overriding both ``policy.backend`` and the
     automatic workers-based choice; an unknown name raises
-    :class:`ConfigurationError`. The returned objects are identical
-    across every path — serial, pooled, retried, resumed or cached —
-    because all of them round-trip through the job kind's encode/decode
-    pair.
+    :class:`ConfigurationError`. Missing ``workload_run`` cells are
+    priced from their latency basis (:func:`_group_by_basis`): a cached
+    basis prices without running, and a missing one runs in the same
+    backend call as every other missing job. The returned objects are identical
+    across every path — serial, pooled, retried, resumed, cached or
+    priced — because all of them round-trip through the job kind's
+    encode/decode pair.
     """
     resolved = default_workers() if workers is None else max(1, workers)
     active = policy if policy is not None else get_execution_policy()
@@ -1197,6 +1274,45 @@ def run_jobs(
             journal.close()
 
 
+def _group_by_basis(
+    jobs: Sequence[SimJob], missing: Sequence[int]
+) -> Tuple[List[Tuple[SimJob, List[int]]], List[int]]:
+    """Group the ``missing`` ``workload_run`` cells by the latency basis
+    that prices them.
+
+    Returns ``(basis, cell indices)`` pairs, ordered by their first cell,
+    and the indices of the cells to simulate. A baseline cell joins the
+    first basis its run needs in this sweep; when its run needs none, it
+    is simulated like a cell of any other kind.
+    """
+    groups: Dict[str, Tuple[SimJob, List[int]]] = {}
+    run_basis: Dict[str, str] = {}
+    baselines: List[int] = []
+    simulated: List[int] = []
+    for index in missing:
+        job = jobs[index]
+        if job.kind != "workload_run":
+            simulated.append(index)
+            continue
+        basis = _workload_basis(job)
+        if basis is None:
+            baselines.append(index)
+            continue
+        key = basis.key()
+        groups.setdefault(key, (basis, []))[1].append(index)
+        run_basis.setdefault(_workload_run_identity(job), key)
+    for index in baselines:
+        key = run_basis.get(_workload_run_identity(jobs[index]))
+        if key is None:
+            simulated.append(index)
+        else:
+            groups[key][1].append(index)
+    ordered = sorted(groups.values(), key=lambda group: min(group[1]))
+    for _, cells in ordered:
+        cells.sort()
+    return ordered, simulated
+
+
 def _run_jobs_body(
     jobs: Sequence[SimJob],
     resolved: int,
@@ -1219,44 +1335,90 @@ def _run_jobs_body(
                 payloads[index] = hit
                 done[index] = True
         stats.cached = sum(done)
-        stats.quarantined = cache.corrupt - corrupt_before
         if resumable:
             stats.resumed_cells = stats.cached
 
-    missing = [(index, job) for index, job in enumerate(jobs) if not done[index]]
+    missing = [index for index in range(len(jobs)) if not done[index]]
     if journal is not None and missing:
         # Logged before any cell runs. A sweep served entirely from the
         # cache logs its start with its completion: one append, one fsync.
         journal.append(start)
 
-    def complete(index: int, job: SimJob, payload: Any, attempt: int) -> None:
-        payloads[index] = payload
-        done[index] = True
-        stats.fresh += 1
+    def job_done(job: SimJob, attempt: int, priced: bool = False) -> Dict[str, Any]:
+        record = {
+            "event": "job_done",
+            "key": job.key(),
+            "kind": job.kind,
+            "label": job.label,
+            "attempt": attempt,
+            "ts": time.time(),
+        }
+        if priced:
+            record["priced"] = True
+        return record
+
+    def store(job: SimJob, payload: Any) -> None:
         if cache is not None:
             cache.put(job, payload)
             if active.chaos is not None and active.chaos.decide(job.key(), "corrupt"):
                 from repro.harness.chaos import corrupt_cache_entry
 
                 corrupt_cache_entry(cache, job)
-        if journal is not None:
-            journal.append(
-                {
-                    "event": "job_done",
-                    "key": job.key(),
-                    "kind": job.kind,
-                    "label": job.label,
-                    "attempt": attempt,
-                    "ts": time.time(),
-                }
-            )
 
-    if missing:
+    def price_cells(
+        basis_payload: Any, indices: Sequence[int], attempt: int = 0
+    ) -> List[Dict[str, Any]]:
+        records = []
+        for index in indices:
+            job = jobs[index]
+            payloads[index] = _price_workload_run(job, basis_payload)
+            done[index] = True
+            stats.priced += 1
+            store(job, payloads[index])
+            records.append(job_done(job, attempt, priced=True))
+        return records
+
+    groups, simulated = _group_by_basis(jobs, missing)
+    # (job order, backend index, job); backend indices past the last
+    # cell are bases.
+    work = [(index, index, jobs[index]) for index in simulated]
+    basis_cells: Dict[int, List[int]] = {}
+    from_cache: List[Dict[str, Any]] = []
+    for basis, cells in groups:
+        hit = cache.get(basis) if cache is not None else None
+        if hit is not None:
+            from_cache += price_cells(hit, cells)
+        else:
+            position = len(jobs) + len(basis_cells)
+            basis_cells[position] = cells
+            work.append((cells[0], position, basis))
+    if cache is not None:
+        stats.quarantined = cache.corrupt - corrupt_before
+    if journal is not None and from_cache:
+        journal.append(*from_cache)
+
+    def complete(index: int, job: SimJob, payload: Any, attempt: int) -> None:
+        stats.fresh += 1
+        store(job, payload)
+        if index in basis_cells:
+            # The journal records cells, not bases: one append for every
+            # cell a basis prices, so one fsync per simulation.
+            records = price_cells(payload, basis_cells[index], attempt)
+        else:
+            payloads[index] = payload
+            done[index] = True
+            records = [job_done(job, attempt)]
+        if journal is not None:
+            journal.append(*records)
+
+    work.sort(key=lambda entry: entry[0])
+    if work:
         if backend is None:
-            automatic = resolved <= 1 or len(missing) == 1
+            automatic = resolved <= 1 or len(work) == 1
             backend = "inprocess" if automatic else "process-pool"
+        runnable = [(position, job) for _, position, job in work]
         try:
-            BACKENDS[backend](missing, resolved, active, stats, complete)
+            BACKENDS[backend](runnable, resolved, active, stats, complete)
         except _PoolBroken as broken:
             if not active.fallback_serial:
                 raise WorkerCrashError(
@@ -1278,6 +1440,7 @@ def _run_jobs_body(
             "event": "sweep_complete",
             "fresh": stats.fresh,
             "cached": stats.cached,
+            "priced": stats.priced,
             "ts": time.time(),
         }
         if missing:

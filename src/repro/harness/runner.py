@@ -719,7 +719,8 @@ def _run_experiments(
         if stats.jobs and stats.eventful():
             print(
                 f"[{name} fabric: {stats.fresh} fresh / {stats.cached} cached"
-                f" ({stats.resumed_cells} resumed), retries={stats.retries},"
+                f" ({stats.resumed_cells} resumed) / {stats.priced} priced,"
+                f" retries={stats.retries},"
                 f" timeouts={stats.timeouts}, crashes={stats.crashes},"
                 f" quarantined={stats.quarantined}, degraded={stats.degraded}]",
                 file=sys.stderr,

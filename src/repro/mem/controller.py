@@ -76,6 +76,10 @@ class MemoryController:
         # The guard's ReadOutcome of the latest guarded read (read_access
         # reports it alongside the plain values read returns).
         self.last_read_outcome: Optional[ReadOutcome] = None
+        # Guarded reads that waited for the MAC unit, indexed by is_pte:
+        # [data reads, page-walk reads]. A MAC-checked outcome is exactly
+        # one that adds mac_latency_cycles to the read's latency.
+        self.mac_checked_reads = [0, 0]
 
     def install_read_fault_hook(self, hook) -> None:
         """Install ``hook(address, is_pte)`` called at the top of every
@@ -164,6 +168,8 @@ class MemoryController:
             return stored, latency, False
 
         outcome = self.last_read_outcome = guard.process_read(address, stored, is_pte)
+        if outcome.mac_checked:
+            self.mac_checked_reads[is_pte] += 1
         if outcome.corrected_stored_line is not None:
             # Transparent repair: scrub the corrected line back into DRAM.
             dram.write_line(address, outcome.corrected_stored_line)

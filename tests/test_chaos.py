@@ -34,11 +34,13 @@ from repro.harness.parallel import (
 
 WORKLOADS = ["povray", "xz"]
 SCALE = 0.25  # 6 cells x ~0.1 s each
-# seed=14 over these 6 job keys yields 1 kill, 1 over-deadline delay (on
-# a job that is not also killed) and 2 corrupted cache entries — at
-# least one event on every chaos channel, deterministically. The seed is
-# tied to the job keys: a change to the cell params (e.g. a guard config
-# field) moves every key and needs a seed re-chosen against this bar.
+# The sweep simulates 4 latency bases (2 workloads x 2 guarded designs)
+# and prices its 6 cells from them. seed=14 over those keys yields 1 kill
+# and 1 over-deadline delay (on a basis that is not also killed) among
+# the bases and 2 corrupted cell entries — at least one event on every
+# chaos channel, deterministically. The seed is tied to the job keys: a
+# change to the cell params (e.g. a guard config field) moves every key
+# and needs a seed re-chosen against this bar.
 CHAOS = ChaosPolicy(seed=14, kill=0.3, delay=0.3, corrupt=0.3)
 
 
@@ -72,8 +74,9 @@ class TestChaosEndToEnd:
         warm_stats = last_run_stats()
         assert warm == clean
         assert warm_stats.quarantined >= 1
-        assert warm_stats.cached >= 1 and warm_stats.fresh >= 1
-        assert warm_stats.cached + warm_stats.fresh == 6
+        # The quarantined cells are priced again from their cached bases.
+        assert warm_stats.cached >= 1 and warm_stats.priced >= 1
+        assert warm_stats.cached + warm_stats.priced == 6
         quarantined = list(warm_cache.quarantine_dir.glob("*.json"))
         assert len(quarantined) == warm_stats.quarantined
 
@@ -110,8 +113,18 @@ def _runner(extra, env):
 
 
 def _entries(cache_dir):
-    """Finished cell files (two-hex-char shard dirs; skips journals/)."""
+    """Finished job files (two-hex-char shard dirs; skips journals/):
+    latency bases and the cells priced from them."""
     return list(cache_dir.glob("??/*.json"))
+
+
+def _cell_entries(cache_dir):
+    """Finished fig6 cells among :func:`_entries`."""
+    return [
+        path
+        for path in _entries(cache_dir)
+        if json.loads(path.read_text(encoding="utf-8"))["kind"] == "workload_run"
+    ]
 
 
 def _processes_mentioning(path):
@@ -168,8 +181,10 @@ class TestSigkillResume:
             orphans = _processes_mentioning(cache_dir)
         assert orphans == [], f"orphaned pool workers still alive: {orphans}"
 
-        done_before = len(_entries(cache_dir))
-        assert 1 <= done_before < 6, "kill landed too late to leave missing cells"
+        assert _entries(cache_dir)
+        done_before = len(_cell_entries(cache_dir))
+        bases_before = len(_entries(cache_dir)) - done_before
+        assert done_before < 6, "kill landed too late to leave missing cells"
         journals = list((cache_dir / "journals").glob("*.jsonl"))
         assert len(journals) == 1
         assert not any(
@@ -198,7 +213,9 @@ class TestSigkillResume:
         assert _strip_volatile(resumed.stdout) == _strip_volatile(reference.stdout)
 
         # The journal proves the resume recomputed only the missing
-        # cells: every pre-kill entry was reused, the rest ran fresh.
+        # cells: every pre-kill cell was reused, the rest were priced
+        # (each baseline from its run's first basis), and only the bases
+        # not cached before the kill ran fresh.
         completions = [
             record
             for record in SweepJournal.load(journals[0])
@@ -207,7 +224,8 @@ class TestSigkillResume:
         assert len(completions) == 1
         final = completions[0]
         assert final["cached"] == done_before
-        assert final["fresh"] == 6 - done_before
+        assert final["priced"] == 6 - done_before
+        assert final["fresh"] == 4 - bases_before
 
 
 class TestSigtermResume:

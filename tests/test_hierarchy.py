@@ -111,7 +111,7 @@ class TestPTEIntegration:
         result = hierarchy.read(0x4000, is_pte=True)
         assert result.data == line  # MAC stripped before install
         cached = hierarchy.l1.lookup(0x4000)
-        assert cached.data == line and cached.is_pte
+        assert cached.data == line
 
 
 class TestCoherenceDiscard:

@@ -8,7 +8,7 @@ replaced -- ``Cache.lookup``/``Cache.fill`` per level, the recursive
 (:class:`ReferenceHierarchy`, :class:`ReferenceSharedLLC`) and drive twin
 machines with seeded streams on shrunken cache geometries, so dirty
 victims cascade all the way to DRAM. Each twin pair compares every
-level's lines in LRU order (``dirty`` and ``is_pte`` included), every
+level's lines in LRU order (``dirty`` included), every
 stat group, DRAM contents and open rows, and the ordered write-backs.
 
 ``Kernel.zero_page`` writes a page in one controller burst
@@ -70,7 +70,7 @@ class ReferenceHierarchy(CacheHierarchy):
         line = self.l2.lookup(address)
         if line is not None:
             data = line.data
-            victim = self.l1.fill(address, data, is_pte=is_pte)
+            victim = self.l1.fill(address, data)
             if victim is not None and victim.dirty:
                 self._handle_victim(victim, level=0)
             return AccessResult(data, latency, "L2")
@@ -84,7 +84,7 @@ class ReferenceHierarchy(CacheHierarchy):
             line = l3.lookup(address)
             if line is not None:
                 data = line.data
-                self._fill_upper(2, address, data, is_pte)
+                self._fill_upper(2, address, data)
                 return AccessResult(data, latency, "L3")
         try:
             counters["llc_misses"] += 1
@@ -97,7 +97,7 @@ class ReferenceHierarchy(CacheHierarchy):
             return AccessResult(
                 data=data, latency_cycles=latency, hit_level="DRAM", pte_check_failed=True
             )
-        self._fill_all(address, data, is_pte)
+        self._fill_all(address, data)
         return AccessResult(data, latency, "DRAM")
 
     def write(self, address: int, data: bytes) -> AccessResult:
@@ -117,22 +117,22 @@ class ReferenceHierarchy(CacheHierarchy):
             hit_level=result.hit_level,
         )
 
-    def _fill(self, address, data, dirty, is_pte, bottom, top=0) -> None:
+    def _fill(self, address, data, dirty, bottom, top=0) -> None:
         # The core loop's write-allocate calls _fill(line, payload, True,
-        # False, 0); it used to run l1.fill and push a dirty victim down.
+        # 0); it used to run l1.fill and push a dirty victim down.
         for index in range(bottom, top - 1, -1):
-            victim = self._levels[index].fill(address, data, dirty=dirty, is_pte=is_pte)
+            victim = self._levels[index].fill(address, data, dirty=dirty)
             if victim is not None and victim.dirty:
                 self._handle_victim(victim, level=index)
 
-    def _fill_upper(self, hit_index: int, address: int, data: bytes, is_pte: bool) -> None:
+    def _fill_upper(self, hit_index: int, address: int, data: bytes) -> None:
         for index in range(hit_index - 1, -1, -1):
-            victim = self._levels[index].fill(address, data, is_pte=is_pte)
+            victim = self._levels[index].fill(address, data)
             self._handle_victim(victim, level=index)
 
-    def _fill_all(self, address: int, data: bytes, is_pte: bool) -> None:
+    def _fill_all(self, address: int, data: bytes) -> None:
         for index in range(len(self._levels) - 1, -1, -1):
-            victim = self._levels[index].fill(address, data, is_pte=is_pte)
+            victim = self._levels[index].fill(address, data)
             self._handle_victim(victim, level=index)
 
     def _handle_victim(self, victim: Optional[EvictedLine], level: int) -> None:
@@ -186,7 +186,7 @@ class ReferenceSharedLLC(SharedLLCAdapter):
             return MemoryResponse(data=line.data, latency_cycles=self.hit_latency)
         response = self.controller.read_access(address, is_pte, cycle)
         if response.data is not None and not response.pte_check_failed:
-            victim = self.llc.fill(address, response.data, is_pte=is_pte)
+            victim = self.llc.fill(address, response.data)
             if victim is not None and victim.dirty:
                 self.controller.write_access(victim.address, victim.data, cycle, self)
         return MemoryResponse(
@@ -202,7 +202,7 @@ class ReferenceSharedLLC(SharedLLCAdapter):
 def _cache_state(cache: Cache):
     """Every set in creation order, every line in LRU order."""
     return [
-        (set_index, [(tag, line.data, line.dirty, line.is_pte) for tag, line in lines.items()])
+        (set_index, [(tag, line.data, line.dirty) for tag, line in lines.items()])
         for set_index, lines in cache._sets.items()
     ]
 

@@ -104,7 +104,7 @@ def _machine():
 
 def _cache_contents(cache):
     return {
-        set_index: [(tag, line.data, line.dirty, line.is_pte) for tag, line in lines.items()]
+        set_index: [(tag, line.data, line.dirty) for tag, line in lines.items()]
         for set_index, lines in cache._sets.items()
     }
 
