@@ -21,7 +21,9 @@ The path axes (``AXES``):
 ``POINTS`` covers every pair of axis values at least once. A report is
 the runner's stdout without its ``[...]`` timing/status lines.
 Besides its digest, each report must meet its experiment's
-``EXPECTATIONS``, and the cache modes check their own side effects.
+``EXPECTATIONS``, and the cache modes check their own side effects; a
+run on an empty cache also checks its stderr count of fresh simulations
+against ``FRESH_SIMULATIONS``.
 The run stops at the first miss and prints the point, the expected
 digest and the actual one; the stripped report goes to
 ``ci/failed_report.txt``. A report with no golden entry also fails,
@@ -62,6 +64,11 @@ FRONTIER = "frontier --scale 0.25 --validate"
 # the disk tier) and must print the validated reports byte for byte.
 SIEGE_SNAPSHOT = "siege --scale 0.25"
 FRONTIER_SNAPSHOT = "frontier --scale 0.25"
+
+# Simulations a run of the report takes on an empty cache, read from the
+# runner's stderr status line: one latency basis per workload prices all
+# of its cells. A change that splits a run's basis again fails here.
+FRESH_SIMULATIONS: Dict[str, int] = {FIG6: 25, WALK: 2}
 
 AXES: Dict[str, Tuple[str, ...]] = {
     "boot": ("snapshot", "cold"),
@@ -185,6 +192,7 @@ class Runner:
         self.cache_dir = root / "cache"
         self.state_dir = root / "state"
         self.env = point_env(point, self.cache_dir)
+        self.stderr = ""
 
     def run(
         self,
@@ -208,6 +216,7 @@ class Runner:
         except subprocess.TimeoutExpired:
             raise Miss(f"{step}: still running after {RUN_TIMEOUT_S}s") from None
         report = strip_report(done.stdout)
+        self.stderr = done.stderr
         # A signal-killed child reads -N here and 128+N in a shell.
         code = 128 - done.returncode if done.returncode < 0 else done.returncode
         if code != expect_code:
@@ -242,6 +251,18 @@ class Runner:
     def run_and_check(self, step: str, extra: Sequence[str]) -> None:
         self.check(step, self.run(step, extra))
 
+    def check_fresh(self, step: str) -> None:
+        """On an empty cache: the run simulated what FRESH_SIMULATIONS says."""
+        expected = FRESH_SIMULATIONS.get(self.point.identity)
+        if expected is None:
+            return
+        fresh = fresh_simulations(self.point.identity.split()[0], self.stderr)
+        if fresh != expected:
+            raise Miss(
+                f"{step}: {fresh} fresh simulation(s), expected {expected} "
+                "(one latency basis per workload)"
+            )
+
     def cache_files(self) -> List[str]:
         return sorted(
             str(path.relative_to(self.cache_dir))
@@ -250,12 +271,23 @@ class Runner:
         )
 
 
+def fresh_simulations(experiment: str, stderr: str) -> Optional[int]:
+    """N of the runner's ``[<experiment> fabric: N fresh ...]`` status
+    line, or None when it printed none."""
+    match = re.search(
+        rf"^\[{re.escape(experiment)} fabric: (\d+) fresh", stderr, re.MULTILINE
+    )
+    return int(match.group(1)) if match else None
+
+
 def run_cold(runner: Runner) -> None:
     runner.run_and_check("cold run", ["--no-cache"])
+    runner.check_fresh("cold run")
 
 
 def run_warm(runner: Runner) -> None:
     runner.run_and_check("filling run", [])
+    runner.check_fresh("filling run")
     before = runner.cache_files()
     runner.run_and_check("warm rerun", [])
     added = sorted(set(runner.cache_files()) - set(before))

@@ -11,11 +11,13 @@ Timing runs use the ``pseudo`` MAC: tag *values* never affect timing
 simulations tractable — see :class:`repro.crypto.mac.PseudoLineMAC`.
 
 The sweeps emit one ``workload_run`` job per cell, but the fabric
-simulates only one :class:`LatencyBasis` per (workload, design): a run's
-cycles are affine in the MAC latency and its zero-latency run is the
-baseline, so every latency and the baseline are priced from it
-(:func:`repro.harness.parallel.run_jobs`). :func:`run_workload` is the
-simulated reference the pricing is tested against.
+simulates only one :class:`LatencyBasis` per workload run: a run's
+cycles are affine in the MAC latency, its zero-latency run is the
+baseline, and the PT-Guard run also counts the reads Optimized PT-Guard
+would MAC-check, so the baseline and both designs at every latency are
+priced from it (:func:`repro.harness.parallel.run_jobs`).
+:func:`run_workload` is the simulated reference the pricing is tested
+against.
 """
 
 from __future__ import annotations
@@ -167,29 +169,54 @@ _UNPRICEABLE_EVENTS = (
 )
 
 
+#: The designs a :class:`LatencyBasis` prices, each at zero MAC latency.
+#: They differ only in which DRAM reads pass through the MAC unit, not in
+#: the access stream, so one PT-Guard run prices both.
+PRICED_DESIGNS: Dict[str, PTGuardConfig] = {
+    "ptguard": PTGuardConfig(mac_latency_cycles=0),
+    "optimized": optimized_ptguard_config(0),
+}
+
+
+def priced_design(guard_config: PTGuardConfig) -> Optional[str]:
+    """The :data:`PRICED_DESIGNS` name of ``guard_config`` at any latency,
+    or None for a design a basis cannot price."""
+    config = replace(guard_config, mac_latency_cycles=0)
+    for design, candidate in PRICED_DESIGNS.items():
+        if config == candidate:
+            return design
+    return None
+
+
 @dataclass(frozen=True)
 class LatencyBasis:
-    """A guarded run at ``mac_latency_cycles = 0`` that prices every latency.
+    """A PT-Guard run at ``mac_latency_cycles = 0`` that prices every latency.
 
     The guard adds either 0 or ``mac_latency_cycles`` to a DRAM read, the
     in-order core sums read latencies into its stalls, and DRAM timing
     ignores the cycle when no mitigation is active. So the same machine
-    at latency L runs ``cycles(0) + L * (mac_data_reads +
-    mac_walk_reads)`` cycles, and every other :class:`CoreResult` field
-    is unchanged. At L = 0 the guard changes no timing at all, so
-    ``result`` is also the unprotected baseline of the same run.
+    at latency L runs ``cycles(0) + L * (data reads + walk reads)``
+    cycles, counting the reads its design MAC-checks, and every other
+    :class:`CoreResult` field is unchanged. At L = 0 neither design
+    changes any timing, so ``result`` is also the unprotected baseline
+    and the Optimized PT-Guard run of the same workload.
     """
 
     result: CoreResult
-    #: MAC-checked LLC-miss reads of the timed window (loads and
-    #: write-allocate fetches).
-    mac_data_reads: int
-    #: MAC-checked page-walk reads of the timed window's completed walks.
-    mac_walk_reads: int
+    #: Per :data:`PRICED_DESIGNS` name, the timed window's MAC-checked
+    #: (data, walk) reads: LLC-miss reads (loads and write-allocate
+    #: fetches), and page-walk reads of completed walks.
+    mac_reads: Dict[str, Tuple[int, int]]
 
-    def price(self, mac_latency: int) -> CoreResult:
-        """The :class:`CoreResult` of the same run at ``mac_latency``."""
-        extra = mac_latency * (self.mac_data_reads + self.mac_walk_reads)
+    def price(self, guard_config: Optional[PTGuardConfig]) -> CoreResult:
+        """The :class:`CoreResult` of the same run on ``guard_config``
+        (None: the unprotected baseline)."""
+        if guard_config is None:
+            return self.result
+        design = priced_design(guard_config)
+        if design is None:
+            raise ValueError(f"a latency basis does not price {guard_config}")
+        extra = guard_config.mac_latency_cycles * sum(self.mac_reads[design])
         return replace(self.result, cycles=self.result.cycles + extra)
 
 
@@ -202,43 +229,56 @@ def measure_basis(
 ) -> LatencyBasis:
     """Run ``core`` over ``trace`` and return the run as a :class:`LatencyBasis`.
 
-    The same run as ``core.run(trace, mem_ops, warmup_ops)``. Raises
-    :class:`SimulationError` when the timed window recorded an event
-    whose cost is not affine in the MAC latency: ``workload_run``
-    machines have no mitigation and no fault injection, so one means
-    the machine is not the one pricing was derived for.
+    The same run as ``core.run(trace, mem_ops, warmup_ops)`` on a
+    PT-Guard machine at zero MAC latency. The controller counts the
+    reads Optimized PT-Guard would MAC-check in the timed window
+    (:meth:`~repro.core.guard.PTGuard.optimized_mac_checked`, which
+    raises when it cannot tell). Raises :class:`SimulationError` when the
+    timed window recorded an event whose cost is not affine in the MAC
+    latency: ``workload_run`` machines have no mitigation and no fault
+    injection, so one means the machine is not the one pricing was
+    derived for.
     """
+    config = system.guard.config
+    if config.mac_latency_cycles or config.identifier_enabled or config.mac_zero_enabled:
+        raise ValueError("a latency basis runs PT-Guard at zero MAC latency")
     # Warm up first, so the event check sees the timed window alone.
     core.run(trace, mem_ops=0, warmup_ops=warmup_ops)
     sources = {"controller": system.controller.stats, "guard": system.guard.stats}
     before = [sources[owner].get(name) for owner, name in _UNPRICEABLE_EVENTS]
-    result = core.run(trace, mem_ops=mem_ops)
+    system.controller.count_optimized = True
+    try:
+        result = core.run(trace, mem_ops=mem_ops)
+    finally:
+        system.controller.count_optimized = False
     for (owner, name), start in zip(_UNPRICEABLE_EVENTS, before):
         if sources[owner].get(name) != start:
             raise SimulationError(
                 f"latency basis recorded {owner} {name}: its cycles are "
                 "not affine in the MAC latency, so it cannot price one"
             )
-    data_reads, walk_reads = core.mac_checked_reads
-    return LatencyBasis(result, data_reads, walk_reads)
+    data, walk, optimized_data, optimized_walk = core.mac_checked_reads
+    return LatencyBasis(
+        result, {"ptguard": (data, walk), "optimized": (optimized_data, optimized_walk)}
+    )
 
 
 def run_latency_basis(
     profile: WorkloadProfile,
-    guard_config: PTGuardConfig,
     mem_ops: int = 20_000,
     warmup_ops: int = 12_000,
     seed: int = 1,
     prefault: bool = False,
     mac_algorithm: str = "pseudo",
 ) -> LatencyBasis:
-    """The :class:`LatencyBasis` of ``run_workload(profile, guard_config, ...)``.
+    """The :class:`LatencyBasis` of ``run_workload(profile, config, ...)``
+    for the baseline and every :data:`PRICED_DESIGNS` config.
 
-    Simulates the guarded machine once, at ``mac_latency_cycles = 0``;
-    ``guard_config``'s own latency is ignored.
+    Simulates the PT-Guard machine once, at ``mac_latency_cycles = 0``.
     """
-    config = replace(guard_config, mac_latency_cycles=0)
-    booted = boot_workload(profile, config, seed, prefault, mac_algorithm)
+    booted = boot_workload(
+        profile, PRICED_DESIGNS["ptguard"], seed, prefault, mac_algorithm
+    )
     return measure_basis(*booted, mem_ops=mem_ops, warmup_ops=warmup_ops)
 
 
@@ -285,9 +325,8 @@ def figure6_jobs(
     Exposed separately from :func:`run_figure6` so callers that reason
     about the cells themselves — the service benchmark submits one
     workload's grid per sweep — build exactly the grid the sweep runs.
-    ``run_jobs`` simulates two latency bases per workload (PT-Guard and
-    Optimized at zero latency) and prices all three cells from them; with
-    ``include_optimized=False`` one basis prices both cells.
+    ``run_jobs`` simulates one latency basis per workload (PT-Guard at
+    zero latency) and prices all of its cells from it.
     """
     profiles = (
         [get_workload(name) for name in workload_names]
@@ -327,8 +366,8 @@ def run_figure6(
     """Figure 6: per-workload normalized IPC + MPKI at the default latency.
 
     Emits one job per (workload, configuration) cell; ``run_jobs``
-    prices the cells from one latency basis per (workload, design), fanned
-    out over ``workers`` processes. Results reassemble in job order, so
+    prices the cells from one latency basis per workload, fanned out over
+    ``workers`` processes. Results reassemble in job order, so
     the rows — and any report built from them — are identical at every
     worker count.
     """
@@ -383,11 +422,11 @@ def run_figure7(
     """Figure 7: slowdown vs MAC-computation latency, both designs.
 
     Every cell — baseline or sweep point — is one job, and ``run_jobs``
-    prices them all from one latency basis per (workload, design): two
-    simulations per workload serve every latency and the baseline. After
-    a Figure-6 sweep of the same workloads and sizes, the bases, the
-    baselines and the default-latency cells are all in the cache, so the
-    sweep simulates nothing.
+    prices them all from one latency basis per workload: one simulation
+    per workload serves both designs at every latency and the baseline.
+    After a Figure-6 sweep of the same workloads and sizes, the bases,
+    the baselines and the default-latency cells are all in the cache, so
+    the sweep simulates nothing.
     """
     profiles = (
         [get_workload(name) for name in workload_names]

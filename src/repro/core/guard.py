@@ -28,7 +28,7 @@ from collections import deque
 from typing import Deque, NamedTuple, Optional
 
 from repro.common.config import CACHELINE_BYTES, PTGuardConfig
-from repro.common.errors import CollisionBufferOverflow
+from repro.common.errors import CollisionBufferOverflow, SimulationError
 from repro.common.stats import StatGroup
 from repro.core import pattern
 from repro.core.correction import CorrectionEngine, CorrectionResult
@@ -336,6 +336,31 @@ class PTGuard:
                 pte_check_failed=False,
             )
         return None
+
+    def optimized_mac_checked(self, line: bytes, is_pte: bool) -> bool:
+        """Would Optimized PT-Guard MAC-check the read this guard served as ``line``?
+
+        ``line`` is the logical line a PT-Guard guard (96-bit pattern, no
+        MAC-zero) forwarded; the Optimized guard has the same identifier.
+        It stores a zero line as MAC-zero and serves it without the MAC
+        unit, and embeds MAC and identifier only where all 152 metadata
+        bits are clear, so a walk read is checked iff the line is
+        non-zero, and a data read iff it is also pattern-matching. A data
+        line that carries the identifier outside the pattern would be
+        checked, and may collide in the CTB, on the Optimized machine
+        alone: the rule cannot tell, so it raises :class:`SimulationError`.
+        """
+        value = int.from_bytes(line, "little")
+        if not value:
+            return False
+        if is_pte or not value & pattern.METADATA_LINE_MASK:
+            return True
+        if pattern.identifier_of(value) == self.identifier:
+            raise SimulationError(
+                "data line carries the identifier outside the bit pattern: "
+                "Optimized PT-Guard would not read it as this guard does"
+            )
+        return False
 
     def _fit_tag_stored(self, stored_mac: int) -> int:
         if self.engine.mac_bits < pattern.MAC_BITS_PER_LINE:

@@ -106,11 +106,13 @@ class InOrderCore:
         self.stats = StatGroup("core")
         # MAC-checked DRAM reads whose latency reached ``cycles`` in the
         # last timed window, as (data reads, page-walk reads): the reads
-        # that add mac_latency_cycles each to CoreResult.cycles.
-        self.mac_checked_reads = (0, 0)
+        # that add mac_latency_cycles each to CoreResult.cycles. Then the
+        # same pair for Optimized PT-Guard, in the controller's slot order
+        # (MemoryController.mac_checked_reads).
+        self.mac_checked_reads = (0, 0, 0, 0)
         # The controller's MAC-checked reads in this window that no stall
         # charged: aborted walks and the kernel's demand-fault work.
-        self._uncharged_mac_reads = [0, 0]
+        self._uncharged_mac_reads = [0, 0, 0, 0]
 
     # -- execution ---------------------------------------------------------------
 
@@ -310,7 +312,7 @@ class InOrderCore:
             "walk_dram": self.hierarchy.controller.stats.get("pte_reads"),
             "mac_checked_reads": tuple(self.hierarchy.controller.mac_checked_reads),
         }
-        self._uncharged_mac_reads = [0, 0]
+        self._uncharged_mac_reads = [0, 0, 0, 0]
         self.mem_ops = 0
         return self.cycles, self.instructions
 
@@ -320,12 +322,13 @@ class InOrderCore:
 
     def _result(self, start_cycles: int, start_instructions: int) -> CoreResult:
         window = self._window_stats
-        data, walk = self.hierarchy.controller.mac_checked_reads
-        start_data, start_walk = window["mac_checked_reads"]
-        uncharged_data, uncharged_walk = self._uncharged_mac_reads
-        self.mac_checked_reads = (
-            data - start_data - uncharged_data,
-            walk - start_walk - uncharged_walk,
+        self.mac_checked_reads = tuple(
+            now - start - uncharged
+            for now, start, uncharged in zip(
+                self.hierarchy.controller.mac_checked_reads,
+                window["mac_checked_reads"],
+                self._uncharged_mac_reads,
+            )
         )
         return CoreResult(
             instructions=self.instructions - start_instructions,
@@ -369,7 +372,7 @@ class InOrderCore:
         while True:
             if timed:
                 mac_reads = self.hierarchy.controller.mac_checked_reads
-                data_before, walk_before = mac_reads
+                before = mac_reads[:]
             try:
                 walk = self.walker.translate(
                     process.asid,
@@ -390,6 +393,6 @@ class InOrderCore:
                     # Neither the aborted walk's reads nor the handler's
                     # stall the core.
                     uncharged = self._uncharged_mac_reads
-                    uncharged[0] += mac_reads[0] - data_before
-                    uncharged[1] += mac_reads[1] - walk_before
+                    for slot, start in enumerate(before):
+                        uncharged[slot] += mac_reads[slot] - start
                 tlb_checked = False

@@ -46,10 +46,10 @@ Pieces:
   ``<root>/quarantine/`` and recomputed, never trusted and never fatal.
 * Pricing — fig 6/7's ``workload_run`` cells are *priced* instead of
   simulated one by one: ``run_jobs`` runs one ``latency_basis`` job, a
-  guarded simulation at zero MAC latency, per (workload, design) and
-  derives every latency and the baseline from it. Priced cells are
-  cached and journaled under their own keys, so nothing downstream can
-  tell them from simulated ones.
+  PT-Guard simulation at zero MAC latency, per workload run and derives
+  the baseline and both designs at every latency from it. Priced cells
+  are cached and journaled under their own keys, so nothing downstream
+  can tell them from simulated ones.
 * :class:`SweepJournal` — an append-only record log
   (:mod:`repro.common.recordlog`), one file per sweep under
   ``<cache root>/journals/``, recording each completed cell
@@ -256,7 +256,6 @@ def _run_latency_basis_job(params: Mapping[str, Any]):
 
     return run_latency_basis(
         get_workload(params["workload"]),
-        _guard_config_from(params["config"]),
         mem_ops=params["mem_ops"],
         warmup_ops=params["warmup_ops"],
         seed=params["seed"],
@@ -270,8 +269,7 @@ def _decode_latency_basis(payload):
 
     return LatencyBasis(
         result=_decode_core_result(payload["result"]),
-        mac_data_reads=payload["mac_data_reads"],
-        mac_walk_reads=payload["mac_walk_reads"],
+        mac_reads={design: tuple(pair) for design, pair in payload["mac_reads"].items()},
     )
 
 
@@ -412,36 +410,31 @@ register_job_kind(
 # -- pricing ------------------------------------------------------------------
 #
 # Fig 6/7's workload_run cells are not simulated one by one. run_jobs runs
-# one latency_basis job per (workload, design) and prices each cell from
-# it, then caches and journals the cell under its own key, exactly as if
-# it had been simulated.
+# one latency_basis job per run (workload, ops, seed, MAC backend,
+# prefault) and prices each of the run's cells from it -- the baseline,
+# PT-Guard and Optimized PT-Guard at every latency -- then caches and
+# journals the cell under its own key, exactly as if it had been
+# simulated.
 
 
 def _workload_basis(job: SimJob) -> Optional[SimJob]:
-    """A guarded cell's basis: the same params at zero MAC latency. A
-    baseline cell has none of its own."""
+    """The basis that prices a ``workload_run`` cell: its params without
+    the config. None for a cell whose design no basis prices."""
     config = job.params["config"]
-    if config is None:
-        return None
-    params = dict(job.params)
-    params["config"] = {**config, "mac_latency_cycles": 0}
+    if config is not None:
+        from repro.analysis.perf_eval import priced_design
+
+        if priced_design(_guard_config_from(config)) is None:
+            return None
+    params = {k: v for k, v in job.params.items() if k != "config"}
     label = f"{job.label} basis" if job.label else None
     return SimJob(kind="latency_basis", params=params, label=label)
 
 
-def _workload_run_identity(job: SimJob) -> str:
-    """Everything but the machine design (workload, ops, seed, MAC
-    backend): the cells of one run price alike from any of its bases."""
-    params = {k: v for k, v in job.params.items() if k != "config"}
-    return json.dumps(params, sort_keys=True, separators=(",", ":"))
-
-
 def _price_workload_run(job: SimJob, basis_payload: Any) -> Dict[str, Any]:
-    """A cell's encoded result from its basis. The baseline is the basis
-    itself: at zero latency the guard changes no timing."""
-    config = job.params["config"]
-    latency = 0 if config is None else config["mac_latency_cycles"]
-    return asdict(_decode_latency_basis(basis_payload).price(latency))
+    """A cell's encoded result from its basis."""
+    config = _guard_config_from(job.params["config"])
+    return asdict(_decode_latency_basis(basis_payload).price(config))
 
 
 # -- result cache -------------------------------------------------------------
@@ -1278,39 +1271,22 @@ def _group_by_basis(
     jobs: Sequence[SimJob], missing: Sequence[int]
 ) -> Tuple[List[Tuple[SimJob, List[int]]], List[int]]:
     """Group the ``missing`` ``workload_run`` cells by the latency basis
-    that prices them.
+    that prices them (:func:`_workload_basis`).
 
     Returns ``(basis, cell indices)`` pairs, ordered by their first cell,
-    and the indices of the cells to simulate. A baseline cell joins the
-    first basis its run needs in this sweep; when its run needs none, it
-    is simulated like a cell of any other kind.
+    and the indices of the cells to simulate: every other kind, and
+    cells of a design no basis prices.
     """
     groups: Dict[str, Tuple[SimJob, List[int]]] = {}
-    run_basis: Dict[str, str] = {}
-    baselines: List[int] = []
     simulated: List[int] = []
     for index in missing:
         job = jobs[index]
-        if job.kind != "workload_run":
-            simulated.append(index)
-            continue
-        basis = _workload_basis(job)
+        basis = _workload_basis(job) if job.kind == "workload_run" else None
         if basis is None:
-            baselines.append(index)
-            continue
-        key = basis.key()
-        groups.setdefault(key, (basis, []))[1].append(index)
-        run_basis.setdefault(_workload_run_identity(job), key)
-    for index in baselines:
-        key = run_basis.get(_workload_run_identity(jobs[index]))
-        if key is None:
             simulated.append(index)
         else:
-            groups[key][1].append(index)
-    ordered = sorted(groups.values(), key=lambda group: min(group[1]))
-    for _, cells in ordered:
-        cells.sort()
-    return ordered, simulated
+            groups.setdefault(basis.key(), (basis, []))[1].append(index)
+    return list(groups.values()), simulated
 
 
 def _run_jobs_body(
@@ -1344,18 +1320,19 @@ def _run_jobs_body(
         # cache logs its start with its completion: one append, one fsync.
         journal.append(start)
 
-    def job_done(job: SimJob, attempt: int, priced: bool = False) -> Dict[str, Any]:
-        record = {
+    def job_done(job: SimJob, attempt: int, **observed: Any) -> Dict[str, Any]:
+        # ``observed``: how the cell was produced -- the backend that
+        # simulated it, or the basis that priced it. Never part of a
+        # report or a cache key.
+        return {
             "event": "job_done",
             "key": job.key(),
             "kind": job.kind,
             "label": job.label,
             "attempt": attempt,
             "ts": time.time(),
+            **observed,
         }
-        if priced:
-            record["priced"] = True
-        return record
 
     def store(job: SimJob, payload: Any) -> None:
         if cache is not None:
@@ -1366,16 +1343,17 @@ def _run_jobs_body(
                 corrupt_cache_entry(cache, job)
 
     def price_cells(
-        basis_payload: Any, indices: Sequence[int], attempt: int = 0
+        basis: SimJob, basis_payload: Any, indices: Sequence[int], attempt: int = 0
     ) -> List[Dict[str, Any]]:
         records = []
+        basis_key = basis.key()
         for index in indices:
             job = jobs[index]
             payloads[index] = _price_workload_run(job, basis_payload)
             done[index] = True
             stats.priced += 1
             store(job, payloads[index])
-            records.append(job_done(job, attempt, priced=True))
+            records.append(job_done(job, attempt, priced=True, basis=basis_key))
         return records
 
     groups, simulated = _group_by_basis(jobs, missing)
@@ -1387,7 +1365,7 @@ def _run_jobs_body(
     for basis, cells in groups:
         hit = cache.get(basis) if cache is not None else None
         if hit is not None:
-            from_cache += price_cells(hit, cells)
+            from_cache += price_cells(basis, hit, cells)
         else:
             position = len(jobs) + len(basis_cells)
             basis_cells[position] = cells
@@ -1403,11 +1381,11 @@ def _run_jobs_body(
         if index in basis_cells:
             # The journal records cells, not bases: one append for every
             # cell a basis prices, so one fsync per simulation.
-            records = price_cells(payload, basis_cells[index], attempt)
+            records = price_cells(job, payload, basis_cells[index], attempt)
         else:
             payloads[index] = payload
             done[index] = True
-            records = [job_done(job, attempt)]
+            records = [job_done(job, attempt, backend=backend)]
         if journal is not None:
             journal.append(*records)
 
@@ -1433,6 +1411,7 @@ def _run_jobs_body(
                 broken.reason,
                 len(broken.remaining),
             )
+            backend = "inprocess"  # what job_done records name from here on
             _run_missing_serial(broken.remaining, resolved, active, stats, complete)
 
     if journal is not None:

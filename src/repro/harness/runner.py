@@ -705,14 +705,14 @@ def _run_experiments(
             kwargs["policy_grid"] = args.policy_grid
         if "windows" in parameters and args.windows is not None:
             kwargs["windows"] = args.windows
-        start = time.time()
+        start = time.perf_counter()
         try:
             report = function(**kwargs)
         except PTGuardError as exc:
             failures.append(name)
             print(f"error: experiment {name!r} failed: {exc}", file=sys.stderr)
             continue
-        timings[name] = time.time() - start
+        timings[name] = time.perf_counter() - start
         print(report)
         print(f"[{name}: {timings[name]:.1f}s]")
         stats = last_run_stats()

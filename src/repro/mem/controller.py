@@ -78,8 +78,12 @@ class MemoryController:
         self.last_read_outcome: Optional[ReadOutcome] = None
         # Guarded reads that waited for the MAC unit, indexed by is_pte:
         # [data reads, page-walk reads]. A MAC-checked outcome is exactly
-        # one that adds mac_latency_cycles to the read's latency.
-        self.mac_checked_reads = [0, 0]
+        # one that adds mac_latency_cycles to the read's latency. Slots 2
+        # and 3 hold the same pair for the reads Optimized PT-Guard would
+        # have checked (PTGuard.optimized_mac_checked), counted only while
+        # count_optimized is set: a PT-Guard run then prices both designs.
+        self.mac_checked_reads = [0, 0, 0, 0]
+        self.count_optimized = False
 
     def install_read_fault_hook(self, hook) -> None:
         """Install ``hook(address, is_pte)`` called at the top of every
@@ -170,6 +174,8 @@ class MemoryController:
         outcome = self.last_read_outcome = guard.process_read(address, stored, is_pte)
         if outcome.mac_checked:
             self.mac_checked_reads[is_pte] += 1
+        if self.count_optimized and guard.optimized_mac_checked(outcome.line, is_pte):
+            self.mac_checked_reads[2 + is_pte] += 1
         if outcome.corrected_stored_line is not None:
             # Transparent repair: scrub the corrected line back into DRAM.
             dram.write_line(address, outcome.corrected_stored_line)

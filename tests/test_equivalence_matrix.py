@@ -121,3 +121,17 @@ def test_journal_duplicate_check(matrix, tmp_path):
     (journals / "b.jsonl").write_text(done + done, encoding="utf-8")
     with pytest.raises(matrix.Miss, match="done twice"):
         matrix.journal_completions(tmp_path)
+
+
+def test_fresh_simulation_gate(matrix):
+    from repro.cpu.workloads import WORKLOADS
+
+    # One latency basis per workload, checked where the cache starts empty.
+    assert matrix.FRESH_SIMULATIONS == {matrix.FIG6: len(WORKLOADS), matrix.WALK: 2}
+    assert matrix.WALK.endswith("--workloads walkheavy,xalancbmk")
+    for identity in matrix.FRESH_SIMULATIONS:
+        modes = {point.cache for point in matrix.POINTS if point.identity == identity}
+        assert modes & {"cold", "warm"}, identity
+    stderr = "noise\n[fig6 fabric: 25 fresh / 0 cached (0 resumed) / 75 priced]\n"
+    assert matrix.fresh_simulations("fig6", stderr) == 25
+    assert matrix.fresh_simulations("fig7", stderr) is None
